@@ -21,6 +21,7 @@ Check kinds: ``exact_equal``, ``period_match``, ``mutation_chain``,
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import time
 from dataclasses import dataclass, field
@@ -34,14 +35,15 @@ from .parsing import parse
 
 DEFAULT_ORDER = 10
 
-_CHECK_KINDS = (
-    "exact_equal",
-    "period_match",
-    "mutation_chain",
-    "parameter_limit_edge",
-    "direction_degeneration_edge",
-    "toric_oracle",
-)
+# required payload keys per check kind; a tuple names alternatives
+_REQUIRED_KEYS = {
+    "exact_equal": ("left", "right"),
+    "period_match": (("target", "target_id"),),
+    "mutation_chain": ("start", "steps", "expected"),
+    "parameter_limit_edge": (("expect", "expect_id"),),
+    "direction_degeneration_edge": ("rays", "d", "min_support", "max_support"),
+    "toric_oracle": ("rays",),
+}
 
 
 class CatalogError(ValueError):
@@ -54,7 +56,7 @@ class Check:
     payload: dict
 
     def __post_init__(self):
-        if self.kind not in _CHECK_KINDS:
+        if self.kind not in _REQUIRED_KEYS:
             raise CatalogError(f"unknown check kind {self.kind!r}")
 
 
@@ -121,12 +123,24 @@ class EntryReport:
     error: str = ""
 
 
+def _check_from_json(index: int, raw) -> Check:
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in _REQUIRED_KEYS:
+        raise CatalogError(f"check {index}: unknown check kind {kind!r}")
+    payload = {k: v for k, v in raw.items() if k != "kind"}
+    for keys in _REQUIRED_KEYS[kind]:
+        options = keys if isinstance(keys, tuple) else (keys,)
+        if not any(k in payload for k in options):
+            missing = " or ".join(repr(k) for k in options)
+            raise CatalogError(f"check {index} ({kind}): missing key {missing}")
+    return Check(kind, payload)
+
+
 def _entry_from_json(raw: dict) -> CatalogEntry:
+    if not isinstance(raw, dict):
+        raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     try:
-        checks = []
-        for c in raw.get("checks", ()):
-            payload = {k: v for k, v in c.items() if k != "kind"}
-            checks.append(Check(kind=c["kind"], payload=payload))
+        checks = [_check_from_json(i, c) for i, c in enumerate(raw.get("checks", ()))]
         entry = CatalogEntry(
             id=raw["id"],
             dim=int(raw["dim"]),
@@ -148,6 +162,12 @@ def _entry_from_json(raw: dict) -> CatalogEntry:
                 parse(text, entry.rank, entry.param_rank)
             except LaurentError as err:
                 raise CatalogError(f"entry {entry.id!r}: {label} does not parse: {err}") from err
+    for index, check in enumerate(entry.checks):
+        if check.kind == "period_match" and entry.model is None and "source" not in check.payload:
+            raise CatalogError(
+                f"entry {entry.id!r}: check {index} (period_match): missing key 'source',"
+                " and the entry has no model"
+            )
     return entry
 
 
@@ -256,17 +276,16 @@ def _run_period_match(entry, check, resolver, order) -> CheckReport:
         target = _strip_params(resolver.expr(entry, check.payload["target"]))
         label = "expression"
     modulo = check.payload.get("modulo_constant", entry.modulo_constant)
-    shift = period.period_equal_up_to_shift(source, target, n, fast=True)
-    if shift is None:
-        witness = period.first_period_mismatch(source, target, n, fast=True)
-        degree = witness[0] if witness else None
+    witness = period.first_period_mismatch(source, target, n)
+    if witness is not None:
+        degree, expected, got = witness
         return CheckReport(
             "period_match",
             False,
-            f"period differs from {label}"
-            + (f" first at degree {degree} ({witness[1]} vs {witness[2]})" if witness else ""),
+            f"period differs from {label} first at degree {degree} ({expected} vs {got})",
             witness_degree=degree,
         )
+    shift = period.constant_shift(source, target)
     if shift != 0 and not modulo:
         return CheckReport(
             "period_match",
@@ -277,35 +296,18 @@ def _run_period_match(entry, check, resolver, order) -> CheckReport:
     return CheckReport("period_match", True, f"matches {label} (shift {shift}) to order {n}")
 
 
-def _chain_steps_from_json(entry, steps_json, resolver):
-    steps = []
-    for raw in steps_json:
-        kind = raw["kind"]
-        if kind == "mutation":
-            factor = _drop_unused_params(parse(raw["a"], entry.rank, entry.param_rank))
-            steps.append(
-                mutation.MutationStep(mutation.MutationData(tuple(raw["w"]), factor))
-            )
-        elif kind == "coords":
-            steps.append(mutation.CoordStep(tuple(tuple(row) for row in raw["matrix"])))
-        elif kind == "subst":
-            assign = tuple(
-                (_param_index(entry, name), Fraction(value))
-                for name, value in raw["assign"].items()
-            )
-            steps.append(mutation.SubstStep(assign))
-        else:
-            raise CatalogError(f"unknown chain step kind {kind!r}")
-    return steps
-
-
 def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
     n = int(check.payload.get("order", order))
     start = resolver.expr(entry, check.payload["start"])
-    steps = _chain_steps_from_json(entry, check.payload["steps"], resolver)
+    steps = mutation.chain_steps_from_json(
+        check.payload["steps"],
+        entry.rank,
+        entry.param_rank,
+        lambda name: _param_index(entry, name),
+    )
     expected = resolver.expr(entry, check.payload["expected"])
     modulo = check.payload.get("modulo_constant", entry.modulo_constant)
-    chain = mutation.MutationChain(start, tuple(steps))
+    chain = mutation.MutationChain(start, steps)
     report = mutation.verify_chain(chain, expected, order=n, modulo_constant=modulo)
     if report.ok:
         return CheckReport("mutation_chain", True, report.detail)
@@ -454,6 +456,17 @@ def _load_cached(path: str) -> list[CatalogEntry]:
     return _CACHE[path]
 
 
+def select_entries(entries: list[CatalogEntry], id_filter: str | None) -> list[CatalogEntry]:
+    """Entries whose id matches the glob, or starts with it; all for None."""
+    if id_filter is None:
+        return list(entries)
+    return [
+        e
+        for e in entries
+        if fnmatch.fnmatch(e.id, id_filter) or e.id.startswith(id_filter)
+    ]
+
+
 def verify_all(
     order: int = DEFAULT_ORDER,
     path: str | Path | None = None,
@@ -461,19 +474,11 @@ def verify_all(
     workers: int = 1,
 ) -> list[EntryReport]:
     """Verify every (filtered) entry; reports are ordered by id."""
-    import fnmatch
-
     if path is None:
         path = default_catalog_path()
     path = str(path)
     entries = _load_cached(path)
-    selected = [
-        e
-        for e in entries
-        if id_filter is None
-        or fnmatch.fnmatch(e.id, id_filter)
-        or e.id.startswith(id_filter)
-    ]
+    selected = select_entries(entries, id_filter)
     if workers > 1 and len(selected) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -43,6 +43,11 @@ def _load_fan(path: str) -> toric.FanData:
         return toric.FanData.from_json(json.load(fh))
 
 
+def _param_index(name: str) -> int:
+    """Index of the parameter named a1, a2, ..."""
+    return int(name.strip().lstrip("a")) - 1
+
+
 def _expression(args, rank=None) -> LaurentPolynomial:
     rank = args.rank if rank is None else rank
     return parse(args.expression, rank, args.params)
@@ -61,7 +66,7 @@ def _emit(args, payload: dict, text: str):
 def cmd_period(args):
     f = _expression(args)
     flavor = period.CLASSICAL if args.classical else period.REGULARIZED
-    series = period.period_coefficients(f, args.n, flavor, fast=args.fast)
+    series = period.period_coefficients(f, args.n, flavor)
     values = series.render_list()
     _emit(
         args,
@@ -106,8 +111,7 @@ def cmd_subst(args):
     assign = {}
     for item in args.assign.split(","):
         name, value = item.split("=")
-        index = int(name.strip().lstrip("a")) - 1
-        assign[index] = Fraction(value)
+        assign[_param_index(name)] = Fraction(value)
     g = f.substitute_parameters(assign)
     _emit(args, {"command": "subst", "result": g.render()}, g.render())
 
@@ -127,28 +131,8 @@ def cmd_chain(args):
     with open(args.file, encoding="utf-8") as fh:
         steps_json = json.load(fh)
     f = _expression(args)
-    steps = []
-    for raw in steps_json:
-        if raw["kind"] == "mutation":
-            steps.append(
-                mutation.MutationStep(
-                    mutation.MutationData(
-                        tuple(raw["w"]), parse(raw["a"], f.rank, f.param_rank)
-                    )
-                )
-            )
-        elif raw["kind"] == "coords":
-            steps.append(mutation.CoordStep(tuple(tuple(r) for r in raw["matrix"])))
-        elif raw["kind"] == "subst":
-            assign = tuple(
-                (int(k.lstrip("a")) - 1, Fraction(v)) for k, v in raw["assign"].items()
-            )
-            steps.append(mutation.SubstStep(assign))
-        else:
-            raise CliError(f"unknown step kind {raw['kind']!r}")
-    report = mutation.run_chain(
-        mutation.MutationChain(f, tuple(steps)), order=args.n
-    )
+    steps = mutation.chain_steps_from_json(steps_json, f.rank, f.param_rank, _param_index)
+    report = mutation.run_chain(mutation.MutationChain(f, steps), order=args.n)
     lines = [
         f"step {s.index}: {s.description}: {'ok' if s.ok else 'FAIL'}"
         + (f" ({s.detail})" if s.detail else "")
@@ -291,14 +275,7 @@ def _catalog_path(args):
 
 def cmd_catalog_list(args):
     entries = catalog_mod.load_catalog(_catalog_path(args))
-    if args.id:
-        import fnmatch
-
-        entries = [
-            e
-            for e in entries
-            if fnmatch.fnmatch(e.id, args.id) or e.id.startswith(args.id)
-        ]
+    entries = catalog_mod.select_entries(entries, args.id)
     payload = [
         {
             "id": e.id,
@@ -384,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, default=10, help="series order")
     p.add_argument("--classical", action="store_true", help="divide by d! per term")
-    p.add_argument("--fast", action="store_true", help="Newton-polytope pruned powering")
     p.set_defaults(func=cmd_period)
 
     p = subs.add_parser("regularize", help="multiply a classical series by d!")
@@ -494,7 +470,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (catalog_mod.CatalogError, OSError, json.JSONDecodeError) as err:
+    except (
+        catalog_mod.CatalogError,
+        mutation.ChainFormatError,
+        OSError,
+        json.JSONDecodeError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except CliError as err:

@@ -4,7 +4,7 @@ Hulls are computed by exhaustive hyperplane enumeration: every subset of k
 affinely independent points of a k-dimensional configuration spans a
 candidate hyperplane, and the valid supporting ones give both the facet
 system and (through tightness ranks) the vertex set.  Desk-scale inputs
-keep this comfortably fast, and everything stays exact.
+keep this cheap, and everything stays exact.
 """
 
 from __future__ import annotations
@@ -22,24 +22,14 @@ class HullData:
     """Convex hull of integer points, with a supporting inequality system.
 
     ``system`` lists integer pairs ``(a, c)`` meaning ``<a, m> >= c`` for all
-    ``m`` in the hull; scaling ``c`` by ``t`` gives a valid system for the
-    dilate ``t * hull``.  Lower-dimensional hulls include their affine-hull
-    equalities as opposite inequality pairs, so membership tests work in any
-    ambient dimension.
+    ``m`` in the hull.  Lower-dimensional hulls include their affine-hull
+    equalities as opposite inequality pairs, so the system describes the
+    hull in any ambient dimension.
     """
 
     dim: int
     vertices: tuple[tuple[int, ...], ...]
     system: tuple[tuple[tuple[int, ...], int], ...]
-
-    def contains_zero(self) -> bool:
-        return all(c <= 0 for _, c in self.system)
-
-    def contains_dilated(self, point, t: int) -> bool:
-        """Exact test for ``point in t * hull`` (t >= 1)."""
-        return all(
-            sum(ai * pi for ai, pi in zip(a, point)) >= t * c for a, c in self.system
-        )
 
 
 def _primitive(vec):

@@ -9,10 +9,12 @@ piece is divisible by the corresponding power of the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 from . import period
-from .laurent import LaurentError, LaurentPolynomial, laurent_divide
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, laurent_divide
+from .parsing import parse
 
 
 class NotMutableError(LaurentError):
@@ -61,17 +63,19 @@ def grade_by_weight(f: LaurentPolynomial, weight) -> dict[int, LaurentPolynomial
 
 def _apply(f: LaurentPolynomial, data: MutationData, sign: int) -> LaurentPolynomial:
     factor = data.factor
-    if factor.param_rank == 0 and f.param_rank > 0:
-        factor = LaurentPolynomial(f.rank, f.param_rank, dict(factor.terms))
-        data = MutationData(data.weight, factor)
+    if factor.param_rank != f.param_rank and not any(
+        isinstance(c, ParamPoly) for c in factor.terms.values()
+    ):
+        # a factor that uses no parameter acts at any parameter rank
+        factor = LaurentPolynomial(f.rank, f.param_rank, factor.terms)
     pieces = grade_by_weight(f, data.weight)
     out = LaurentPolynomial.zero(f.rank, f.param_rank)
     for k, piece in pieces.items():
         power = sign * k
         if power >= 0:
-            out = out + piece * (data.factor ** power)
+            out = out + piece * (factor ** power)
         else:
-            quotient = laurent_divide(piece, data.factor ** -power)
+            quotient = laurent_divide(piece, factor ** -power)
             if quotient is None:
                 raise NotMutableError(k)
             out = out + quotient
@@ -116,6 +120,42 @@ class SubstStep:
         return f"subst {body}"
 
 
+class ChainFormatError(LaurentError):
+    """A chain step in JSON form is malformed."""
+
+
+def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -> tuple:
+    """Chain steps from their JSON form, for polynomials of the given ranks.
+
+    ``param_index`` maps a parameter name to its index.  A malformed step
+    raises ChainFormatError naming the step.
+    """
+    if not isinstance(steps_json, list):
+        raise ChainFormatError("a chain must be a JSON list of steps")
+    steps = []
+    for index, raw in enumerate(steps_json):
+        try:
+            kind = raw["kind"]
+            if kind == "mutation":
+                factor = parse(raw["a"], rank, param_rank)
+                steps.append(MutationStep(MutationData(tuple(raw["w"]), factor)))
+            elif kind == "coords":
+                steps.append(CoordStep(tuple(tuple(row) for row in raw["matrix"])))
+            elif kind == "subst":
+                assign = tuple(
+                    (param_index(name), Fraction(value))
+                    for name, value in raw["assign"].items()
+                )
+                steps.append(SubstStep(assign))
+            else:
+                raise ChainFormatError(f"unknown step kind {kind!r}")
+        except KeyError as err:
+            raise ChainFormatError(f"chain step {index}: missing key {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ChainFormatError(f"chain step {index}: {err}") from err
+    return tuple(steps)
+
+
 @dataclass(frozen=True)
 class MutationChain:
     start: LaurentPolynomial
@@ -139,22 +179,23 @@ class ChainReport:
 
 
 def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True) -> ChainReport:
-    """Execute the chain, checking period preservation across each mutation."""
+    """Execute the chain, checking period preservation across each mutation.
+
+    A mutation step's resulting period is the next mutation step's starting
+    period; only a coords or subst step in between forces a recomputation.
+    """
     report = ChainReport(ok=True)
     current = chain.start
+    series = None  # regularized period of current, once computed
     for index, step in enumerate(chain.steps):
         try:
             if isinstance(step, MutationStep):
                 new = mutate(current, step.data)
                 detail = ""
                 if check_periods and current.param_rank == 0:
-                    before = period.period_coefficients(
-                        current, order, period.REGULARIZED, fast=True
-                    )
-                    after = period.period_coefficients(
-                        new, order, period.REGULARIZED, fast=True
-                    )
-                    if before.coefficients != after.coefficients:
+                    before = series or period.period_coefficients(current, order)
+                    series = period.period_coefficients(new, order)
+                    if before.coefficients != series.coefficients:
                         report.steps.append(
                             StepReport(
                                 index,
@@ -171,9 +212,11 @@ def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True)
                 current = new
             elif isinstance(step, CoordStep):
                 current = current.apply_monomial_map([list(r) for r in step.matrix])
+                series = None
                 report.steps.append(StepReport(index, step.describe(), True))
             elif isinstance(step, SubstStep):
                 current = current.substitute_parameters(dict(step.assign))
+                series = None
                 report.steps.append(StepReport(index, step.describe(), True))
             else:
                 raise LaurentError(f"unknown chain step {step!r}")
@@ -202,16 +245,16 @@ def verify_chain(
         return report
     final = report.final
     if modulo_constant:
-        shift = period.period_equal_up_to_shift(final, expected, order, fast=True)
-        if shift is None:
+        witness = period.first_period_mismatch(final, expected, order)
+        if witness is None:
+            shift = period.constant_shift(final, expected)
+            report.detail = f"matches expected up to constant shift {shift}"
+        else:
             report.ok = False
-            witness = period.first_period_mismatch(final, expected, order, fast=True)
             report.detail = (
                 "final value does not match expected up to constant shift"
-                + (f" (first mismatch at degree {witness[0]})" if witness else "")
+                f" (first mismatch at degree {witness[0]})"
             )
-        else:
-            report.detail = f"matches expected up to constant shift {shift}"
     else:
         if final != expected:
             report.ok = False

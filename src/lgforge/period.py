@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _norm_scalar
 
 CLASSICAL = "classical"
 REGULARIZED = "regularized"
@@ -54,47 +54,35 @@ class PeriodSeries:
         return out
 
 
-def _pruned(g: LaurentPolynomial, hull, remaining: int, zero_inside: bool):
-    """Drop terms of g that cannot reach exponent 0 within `remaining` steps."""
-    keep = {}
-    zero = (0,) * g.rank
-    for exp, coeff in g.terms.items():
-        if exp == zero:
-            keep[exp] = coeff
-            continue
-        neg = tuple(-e for e in exp)
-        if zero_inside:
-            if hull.contains_dilated(neg, remaining):
-                keep[exp] = coeff
-        else:
-            if any(hull.contains_dilated(neg, j) for j in range(1, remaining + 1)):
-                keep[exp] = coeff
-    return LaurentPolynomial(g.rank, g.param_rank, keep)
+def _pairing(a: LaurentPolynomial, b: LaurentPolynomial):
+    """Constant term of a*b: the sum of a_e * b_(-e)."""
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    total = 0
+    for exp, coeff in a.terms.items():
+        other = b.terms.get(tuple(-e for e in exp))
+        if other is not None:
+            total = total + coeff * other
+    return total if isinstance(total, ParamPoly) else _norm_scalar(total)
 
 
 def period_coefficients(
-    f: LaurentPolynomial, order: int, flavor: str = REGULARIZED, fast: bool = False
+    f: LaurentPolynomial, order: int, flavor: str = REGULARIZED
 ) -> PeriodSeries:
-    """Period series of f to the given order, by incremental powering.
+    """Period series of f to the given order, meet in the middle.
 
-    With ``fast=True`` the running power is restricted to exponent vectors
-    that can still return to 0 within the remaining degree budget (a sound
-    Newton polytope prune); both modes produce identical series.
+    c(f^d) is the constant term of f^ceil(d/2) * f^floor(d/2), so only the
+    powers up to ceil(order/2) are formed, and only the last two are held.
     """
     if order < 0:
         raise LaurentError("period order must be nonnegative")
-    hull = None
-    zero_inside = False
-    if fast and not f.is_zero:
-        hull = f.newton_polytope().hull
-        zero_inside = hull.contains_zero()
     coeffs = [1]
-    g = LaurentPolynomial.one(f.rank, f.param_rank)
-    for d in range(1, order + 1):
-        g = g * f
-        if hull is not None:
-            g = _pruned(g, hull, order - d, zero_inside)
-        coeffs.append(g.constant_term())
+    power = LaurentPolynomial.one(f.rank, f.param_rank)
+    for k in range(1, (order + 1) // 2 + 1):
+        previous, power = power, power * f
+        coeffs.append(_pairing(previous, power))
+        if 2 * k <= order:
+            coeffs.append(_pairing(power, power))
     if flavor == CLASSICAL:
         coeffs = [
             c * Fraction(1, factorial(d)) for d, c in enumerate(coeffs)
@@ -102,50 +90,23 @@ def period_coefficients(
     return PeriodSeries(order, flavor, f.param_rank, tuple(coeffs))
 
 
-def shift_relation_check(f: LaurentPolynomial, a, order: int = 10) -> bool:
-    """Check P_{f+a}(t) = e^{at} P_f(t) termwise to the given order."""
-    a = Fraction(a)
-    shifted = f + LaurentPolynomial.constant(a, f.rank, f.param_rank)
-    lhs = period_coefficients(shifted, order, CLASSICAL).coefficients
-    base = period_coefficients(f, order, CLASSICAL).coefficients
-    for d in range(order + 1):
-        rhs = sum(
-            (a ** k) * Fraction(1, factorial(k)) * base[d - k] for k in range(d + 1)
-        )
-        if lhs[d] != rhs:
-            return False
-    return True
+def constant_shift(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
+    """c(g) - c(f), the only shift a with P_g = e^{at} P_f."""
+    return Fraction(g.constant_term()) - Fraction(f.constant_term())
 
 
-def period_equal_up_to_shift(
-    f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10, fast: bool = False
-):
-    """Shift a with P_g = e^{at} P_f to the given order, or None.
+def first_period_mismatch(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
+    """Compare P_g with e^{at} P_f, a = c(g) - c(f), to the given order.
 
-    The only candidate is a = c(g) - c(f); both inputs must be
-    unparametrized.
+    Returns None when they agree, else the first disagreeing degree with
+    the expected and the actual regularized coefficient.  Both inputs must
+    be unparametrized.
     """
     if f.param_rank or g.param_rank:
         raise LaurentError("period comparison requires unparametrized polynomials")
-    a = Fraction(g.constant_term()) - Fraction(f.constant_term())
-    pf = period_coefficients(f, order, CLASSICAL, fast=fast).coefficients
-    pg = period_coefficients(g, order, CLASSICAL, fast=fast).coefficients
-    for d in range(order + 1):
-        rhs = sum(
-            (a ** k) * Fraction(1, factorial(k)) * pf[d - k] for k in range(d + 1)
-        )
-        if pg[d] != rhs:
-            return None
-    return a
-
-
-def first_period_mismatch(
-    f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10, fast: bool = False
-):
-    """Smallest degree where the shifted periods disagree, with both values."""
-    a = Fraction(g.constant_term()) - Fraction(f.constant_term())
-    pf = period_coefficients(f, order, CLASSICAL, fast=fast).coefficients
-    pg = period_coefficients(g, order, CLASSICAL, fast=fast).coefficients
+    a = constant_shift(f, g)
+    pf = period_coefficients(f, order, CLASSICAL).coefficients
+    pg = period_coefficients(g, order, CLASSICAL).coefficients
     for d in range(order + 1):
         rhs = sum(
             (a ** k) * Fraction(1, factorial(k)) * pf[d - k] for k in range(d + 1)
@@ -155,7 +116,15 @@ def first_period_mismatch(
     return None
 
 
-def period_distinct(
-    f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10, fast: bool = False
-) -> bool:
-    return period_equal_up_to_shift(f, g, order, fast=fast) is None
+def shift_relation_check(f: LaurentPolynomial, a, order: int = 10) -> bool:
+    """Check P_{f+a}(t) = e^{at} P_f(t) termwise to the given order."""
+    return first_period_mismatch(f, f + Fraction(a), order) is None
+
+
+def period_equal_up_to_shift(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
+    """Shift a with P_g = e^{at} P_f to the given order, or None."""
+    return constant_shift(f, g) if first_period_mismatch(f, g, order) is None else None
+
+
+def period_distinct(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10) -> bool:
+    return first_period_mismatch(f, g, order) is not None

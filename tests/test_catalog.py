@@ -6,6 +6,7 @@ import pytest
 
 from lgforge import load_catalog, verify_all, verify_entry
 from lgforge.catalog import CatalogError, default_catalog_path
+from lgforge.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,41 @@ def test_unparseable_model_names_entry(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(CatalogError, match="broken"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ({"kind": "exact_equal", "left": "x"}, "check 1 (exact_equal): missing key 'right'"),
+        ({"kind": "period_match", "source": "x"}, "missing key 'target' or 'target_id'"),
+        ({"kind": "toric_oracle"}, "missing key 'rays'"),
+        ({"left": "x", "right": "x"}, "check 1: unknown check kind None"),
+        ({"kind": "period_match", "target": "x"}, "missing key 'source', and the entry has no model"),
+    ],
+)
+def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
+    entry = {
+        "id": "bad-check",
+        "dim": 1,
+        "picard_rank": 1,
+        "model": None,
+        "checks": [{"kind": "exact_equal", "left": "x", "right": "x"}, check],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match="bad-check") as err:
+        load_catalog(path)
+    assert message in str(err.value)
+    code = main(["catalog", "verify", "--catalog", str(path), "--threads", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_entry_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(["P3"]), encoding="utf-8")
+    with pytest.raises(CatalogError, match="not a JSON object"):
         load_catalog(path)
 
 

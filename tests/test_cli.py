@@ -1,6 +1,7 @@
 """Command-line interface: examples, determinism, JSON schema."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,67 @@ def test_chain_file(capsys, tmp_path):
 
     final = out.strip().splitlines()[-1]
     assert parse(final, 3) == parse("x+y+z+(x+y+1)^3/(x*y*z)", 3)
+
+
+def test_chain_file_mutation_after_subst(capsys, tmp_path):
+    steps = [
+        {"kind": "subst", "assign": {"a1": "1"}},
+        {"kind": "mutation", "w": [0, 1, 1], "a": "x+1"},
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(steps), encoding="utf-8")
+    code, out = run_cli(
+        ["chain", "--file", str(path), "--params", "1", "(x+1)^2/(x*y*z)+y+a1*z"],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "x*y+x*z+y+z+1/(x*y*z)"
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"kind": "mutation", "a": "x+1"}],
+        [{"kind": "mutation", "w": [0, 1, 1]}],
+        [{"kind": "coords"}],
+        [{"kind": "subst", "assign": {"b1": "1"}}],
+        [{"kind": "twist", "w": [0, 1, 1]}],
+        [{"w": [0, 1, 1], "a": "x+1"}],
+        ["mutation"],
+        {"kind": "mutation", "w": [0, 1, 1], "a": "x+1"},
+    ],
+    ids=[
+        "no-w",
+        "no-a",
+        "no-matrix",
+        "bad-param-name",
+        "unknown-kind",
+        "no-kind",
+        "step-not-object",
+        "not-a-list",
+    ],
+)
+def test_malformed_chain_file_is_load_error(capsys, tmp_path, steps):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(steps), encoding="utf-8")
+    code = main(["chain", "--file", str(path), "(x+1)^2/(x*y*z)+y+z"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_period_fast_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["period", "--fast", "x+1/x", "--rank", "1"])
+    assert exit_info.value.code == 2
+
+
+def test_catalog_verify_json_output_is_pinned(capsys):
+    """Renders and witnesses of `catalog verify --n 10 --json` are fixed;
+    only the per-entry timings vary between runs."""
+    code, out = run_cli(["catalog", "verify", "--n", "10", "--threads", "1", "--json"], capsys)
+    assert code == 0
+    golden = (Path(__file__).parent / "data/catalog_verify_n10.json").read_text(encoding="utf-8")
+    assert re.sub(r', "seconds": [0-9.e+-]+', "", out) == golden
 
 
 JSON_COMMANDS = [

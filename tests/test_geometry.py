@@ -62,21 +62,10 @@ def test_hull_system_supports_all_points():
             for _ in range(rng.randint(1, 9))
         }
         hull = convex_hull(points)
-        for p in points:
-            assert hull.contains_dilated(p, 1)
         for a, c in hull.system:
             values = [sum(ai * pi for ai, pi in zip(a, p)) for p in points]
             assert all(v >= c for v in values)  # valid on the hull
             assert any(v == c for v in values)  # and supporting
-
-
-def test_dilate_membership():
-    hull = convex_hull([(1, 0), (0, 1), (-1, -1)])
-    assert hull.contains_dilated((0, 0), 1)
-    assert not hull.contains_dilated((2, 0), 1)
-    assert hull.contains_dilated((2, 0), 2)
-    assert hull.contains_dilated((-3, -3), 3)
-    assert not hull.contains_dilated((-4, -3), 3)
 
 
 def test_vertices_of_inequalities_unit_square():

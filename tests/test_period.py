@@ -11,6 +11,7 @@ from lgforge import (
     CLASSICAL,
     REGULARIZED,
     LaurentPolynomial,
+    ParamPoly,
     parse,
     period_coefficients,
     period_distinct,
@@ -49,7 +50,7 @@ def test_classical_regularized_conversion():
     assert reg.classical().coefficients == cla.coefficients
 
 
-def test_fast_mode_agrees_with_plain_mode():
+def test_models_match_naive_powering():
     models = [
         "x+y+z+1/(x*y*z)",
         "(x+y+1)^3/(x*y*z) + z",
@@ -57,13 +58,12 @@ def test_fast_mode_agrees_with_plain_mode():
         "(x*y+y*z+x*z+1)^2/(x*y*z)",
         "(x+y+z+1)*(x+1)*(y+1)*(z+1)/(x*y*z)",
         "(z+1)*(x+y+1)*(x*y+z)/(x*y*z) + x*y/z + z + 3",
-        "5*x",  # support polytope far from the origin: everything prunes
+        "5*x",  # support polytope far from the origin: every c(f^d) is 0
     ]
     for text in models:
         f = parse(text, 3)
-        plain = period_coefficients(f, 8, fast=False)
-        fast = period_coefficients(f, 8, fast=True)
-        assert plain.coefficients == fast.coefficients, text
+        naive = [(f ** d).constant_term() for d in range(9)]
+        assert list(period_coefficients(f, 8).coefficients) == naive, text
 
 
 class TestShiftRelation:
@@ -103,7 +103,7 @@ class TestEqualUpToShift:
     def test_picard_rank_one_identification(self):
         f = parse("(x*y+y*z+x*z+1)^2/(x*y*z)", 3)
         g = parse("(x+y+1)^4/(x*y*z)+z", 3)
-        shift = period_equal_up_to_shift(f, g, 10, fast=True)
+        shift = period_equal_up_to_shift(f, g, 10)
         assert shift is not None
 
     def test_symmetry_negates_shift(self):
@@ -157,3 +157,37 @@ def test_regularized_period_is_gl_invariant(f, m):
         period_coefficients(f, 8).coefficients
         == period_coefficients(g, 8).coefficients
     )
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def polys_of_rank_1_to_4(draw, param_rank=0):
+    """Up to five terms with exponents in [-2, 2]; with parameters, each
+    coefficient is a parameter polynomial that may invert a parameter."""
+    rank = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(-2, 2)] * rank)
+    if param_rank:
+        param_exponent = st.tuples(*[st.integers(-1, 2)] * param_rank)
+        coeff = st.dictionaries(param_exponent, rationals, min_size=1, max_size=3).map(
+            lambda terms: ParamPoly.of(param_rank, terms)
+        )
+    else:
+        coeff = rationals
+    terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
+    return LaurentPolynomial.from_terms(rank, param_rank, terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys_of_rank_1_to_4(), st.integers(0, 7))
+def test_series_matches_enumeration_oracle(f, order):
+    oracle = [multinomial_constant_term(f.terms, d) for d in range(order + 1)]
+    assert list(period_coefficients(f, order).coefficients) == oracle
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 2).flatmap(polys_of_rank_1_to_4), st.integers(0, 6))
+def test_parametrized_series_matches_naive_powering(f, order):
+    naive = [(f ** d).constant_term() for d in range(order + 1)]
+    assert list(period_coefficients(f, order).coefficients) == naive
