@@ -133,7 +133,45 @@ def _check_from_json(index: int, raw) -> Check:
         if not any(k in payload for k in options):
             missing = " or ".join(repr(k) for k in options)
             raise CatalogError(f"check {index} ({kind}): missing key {missing}")
+    if "rays" in _REQUIRED_KEYS[kind]:
+        _check_fan_payload(f"check {index} ({kind})", payload)
     return Check(kind, payload)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x) -> bool:
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except ValueError:
+            return False
+        return True
+    return _is_int(x)
+
+
+def _check_fan_payload(label: str, payload: dict):
+    """'rays' is a non-empty list of equal-length integer vectors, and 'd',
+    when present, gives one rational (an int or a string) per ray."""
+    rays = payload["rays"]
+    if not (
+        isinstance(rays, list)
+        and rays
+        and all(
+            isinstance(r, list) and r and len(r) == len(rays[0]) and all(map(_is_int, r))
+            for r in rays
+        )
+    ):
+        raise CatalogError(
+            f"{label}: 'rays' must be a non-empty list of equal-length integer vectors"
+        )
+    d = payload.get("d")
+    if "d" in payload and not (
+        isinstance(d, list) and len(d) == len(rays) and all(map(_is_rational, d))
+    ):
+        raise CatalogError(f"{label}: 'd' must give one rational per ray")
 
 
 def _entry_from_json(raw: dict) -> CatalogEntry:
@@ -313,7 +351,8 @@ def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
         return CheckReport("mutation_chain", True, report.detail)
     failed = [s for s in report.steps if not s.ok]
     detail = report.detail or (failed[0].description + ": " + failed[0].detail if failed else "")
-    return CheckReport("mutation_chain", False, detail)
+    degree = report.witness[0] if report.witness else None
+    return CheckReport("mutation_chain", False, detail, witness_degree=degree)
 
 
 def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:

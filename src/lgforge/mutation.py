@@ -176,13 +176,22 @@ class ChainReport:
     steps: list[StepReport] = field(default_factory=list)
     final: LaurentPolynomial | None = None
     detail: str = ""
+    series: period.PeriodSeries | None = None  # regularized period of final, if computed
+    witness: tuple | None = None  # (degree, expected, got) of a period mismatch
+
+
+def _mismatch_text(witness) -> str:
+    degree, expected, got = witness
+    return f"first mismatch at degree {degree}: {expected} vs {got}"
 
 
 def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True) -> ChainReport:
     """Execute the chain, checking period preservation across each mutation.
 
-    A mutation step's resulting period is the next mutation step's starting
-    period; only a coords or subst step in between forces a recomputation.
+    The period is carried from step to step: a mutation's resulting period
+    is the next step's starting period, and a coords step keeps it, since a
+    unimodular map preserves every constant term.  Only a subst step forces
+    a recomputation.
     """
     report = ChainReport(ok=True)
     current = chain.start
@@ -195,24 +204,25 @@ def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True)
                 if check_periods and current.param_rank == 0:
                     before = series or period.period_coefficients(current, order)
                     series = period.period_coefficients(new, order)
-                    if before.coefficients != series.coefficients:
+                    witness = period.series_mismatch(before, series)
+                    if witness is not None:
                         report.steps.append(
                             StepReport(
                                 index,
                                 step.describe(),
                                 False,
-                                "regularized period not preserved",
+                                f"regularized period not preserved ({_mismatch_text(witness)})",
                             )
                         )
                         report.ok = False
                         report.final = new
+                        report.witness = witness
                         return report
                     detail = f"period preserved to order {order}"
                 report.steps.append(StepReport(index, step.describe(), True, detail))
                 current = new
             elif isinstance(step, CoordStep):
                 current = current.apply_monomial_map([list(r) for r in step.matrix])
-                series = None
                 report.steps.append(StepReport(index, step.describe(), True))
             elif isinstance(step, SubstStep):
                 current = current.substitute_parameters(dict(step.assign))
@@ -226,6 +236,7 @@ def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True)
             report.final = current
             return report
     report.final = current
+    report.series = series
     return report
 
 
@@ -238,22 +249,27 @@ def verify_chain(
     """Run the chain and compare its end value with the expected polynomial.
 
     With ``modulo_constant`` the comparison is period equality up to the
-    constant-shift relation; otherwise it is exact equality.
+    constant-shift relation, reusing the chain's final period; otherwise it
+    is exact equality.
     """
     report = run_chain(chain, order=order)
     if not report.ok:
         return report
     final = report.final
     if modulo_constant:
-        witness = period.first_period_mismatch(final, expected, order)
+        shift = period.constant_shift(final, expected)
+        series = report.series or period.period_coefficients(final, order)
+        witness = period.series_mismatch(
+            series, period.period_coefficients(expected, order), shift
+        )
         if witness is None:
-            shift = period.constant_shift(final, expected)
             report.detail = f"matches expected up to constant shift {shift}"
         else:
             report.ok = False
+            report.witness = witness
             report.detail = (
                 "final value does not match expected up to constant shift"
-                f" (first mismatch at degree {witness[0]})"
+                f" ({_mismatch_text(witness)})"
             )
     else:
         if final != expected:

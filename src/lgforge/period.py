@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _norm_scalar
 
@@ -54,16 +54,72 @@ class PeriodSeries:
         return out
 
 
-def _pairing(a: LaurentPolynomial, b: LaurentPolynomial):
-    """Constant term of a*b: the sum of a_e * b_(-e)."""
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    total = 0
-    for exp, coeff in a.terms.items():
-        other = b.terms.get(tuple(-e for e in exp))
-        if other is not None:
-            total = total + coeff * other
-    return total if isinstance(total, ParamPoly) else _norm_scalar(total)
+def _packing(f: LaurentPolynomial, half: int):
+    """f flattened to packed int keys, and the digit width in bits.
+
+    A term q_p*a^p*x^e becomes the key sum_i v_i*2^(s*i) of v = (p, e), the
+    parameters in the low digits.  Digits are balanced, so packing is
+    additive and pack(-v) = -pack(v); s makes 2^(s-1) exceed every digit
+    of a pairing of two powers up to f^half.
+    """
+    flat = []
+    for exp, coeff in f.terms.items():
+        if isinstance(coeff, ParamPoly):
+            flat.extend((p + exp, q) for p, q in coeff.terms.items())
+        else:
+            flat.append(((0,) * f.param_rank + exp, coeff))
+    bound = 2 * half * max((abs(v) for exp, _ in flat for v in exp), default=0)
+    s = bound.bit_length() + 1
+    packed = {
+        sum(v << (s * i) for i, v in enumerate(exp)): coeff for exp, coeff in flat
+    }
+    return packed, s
+
+
+def _times(power: dict, f: dict) -> dict:
+    """Product of two packed polynomials, zeros dropped."""
+    out: dict = {}
+    get = out.get
+    for k1, c1 in f.items():
+        for k2, c2 in power.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
+def _by_torus(power: dict, shift: int) -> dict:
+    """Packed terms grouped by their torus part: torus key -> [(param key, c)]."""
+    groups: dict = {}
+    offset = 1 << shift >> 1
+    for k, c in power.items():
+        torus = (k + offset) >> shift
+        groups.setdefault(torus, []).append((k - (torus << shift), c))
+    return groups
+
+
+def _param_constant(a: dict, b_groups: dict, shift: int, s: int, param_rank: int):
+    """Constant torus term of a*b as a ParamPoly, b grouped by torus part."""
+    acc: dict = {}
+    get = acc.get
+    offset = 1 << shift >> 1
+    for k, c in a.items():
+        torus = (k + offset) >> shift
+        pa = k - (torus << shift)
+        for pb, c2 in b_groups.get(-torus, ()):
+            p = pa + pb
+            acc[p] = get(p, 0) + c * c2
+    mask, digit_half = (1 << s) - 1, 1 << s >> 1
+    terms = {}
+    for p, c in acc.items():
+        exp = []
+        for _ in range(param_rank):
+            digit = ((p + digit_half) & mask) - digit_half
+            exp.append(digit)
+            p = (p - digit) >> s
+        terms[tuple(exp)] = c
+    return ParamPoly.of(param_rank, terms)
 
 
 def period_coefficients(
@@ -73,16 +129,31 @@ def period_coefficients(
 
     c(f^d) is the constant term of f^ceil(d/2) * f^floor(d/2), so only the
     powers up to ceil(order/2) are formed, and only the last two are held.
+    Powers live on packed int keys (see _packing); a pairing matches keys
+    k and -k, and with parameters it matches torus parts and sums the
+    parameter parts into the output coefficient.
     """
     if order < 0:
         raise LaurentError("period order must be nonnegative")
+    half = (order + 1) // 2
+    packed, s = _packing(f, half)
+    shift = s * f.param_rank
     coeffs = [1]
-    power = LaurentPolynomial.one(f.rank, f.param_rank)
-    for k in range(1, (order + 1) // 2 + 1):
-        previous, power = power, power * f
-        coeffs.append(_pairing(previous, power))
-        if 2 * k <= order:
-            coeffs.append(_pairing(power, power))
+    power = {0: 1}
+    if f.param_rank:
+        for k in range(1, half + 1):
+            previous, power = power, _times(power, packed)
+            groups = _by_torus(power, shift)
+            coeffs.append(_param_constant(previous, groups, shift, s, f.param_rank))
+            if 2 * k <= order:
+                coeffs.append(_param_constant(power, groups, shift, s, f.param_rank))
+    else:
+        for k in range(1, half + 1):
+            previous, power = power, _times(power, packed)
+            get = power.get
+            coeffs.append(_norm_scalar(sum(c * get(-e, 0) for e, c in previous.items())))
+            if 2 * k <= order:
+                coeffs.append(_norm_scalar(sum(c * get(-e, 0) for e, c in power.items())))
     if flavor == CLASSICAL:
         coeffs = [
             c * Fraction(1, factorial(d)) for d, c in enumerate(coeffs)
@@ -92,28 +163,36 @@ def period_coefficients(
 
 def constant_shift(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
     """c(g) - c(f), the only shift a with P_g = e^{at} P_f."""
+    if f.param_rank or g.param_rank:
+        raise LaurentError("period comparison requires unparametrized polynomials")
     return Fraction(g.constant_term()) - Fraction(f.constant_term())
 
 
-def first_period_mismatch(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
-    """Compare P_g with e^{at} P_f, a = c(g) - c(f), to the given order.
+def series_mismatch(before: PeriodSeries, after: PeriodSeries, shift=0):
+    """Compare P_after with e^{shift*t} P_before, degree by degree.
 
     Returns None when they agree, else the first disagreeing degree with
-    the expected and the actual regularized coefficient.  Both inputs must
-    be unparametrized.
+    the expected and the actual regularized coefficient.  In regularized
+    form the expected value is sum_k C(d,k) shift^k R_before[d-k].
     """
-    if f.param_rank or g.param_rank:
-        raise LaurentError("period comparison requires unparametrized polynomials")
-    a = constant_shift(f, g)
-    pf = period_coefficients(f, order, CLASSICAL).coefficients
-    pg = period_coefficients(g, order, CLASSICAL).coefficients
-    for d in range(order + 1):
-        rhs = sum(
-            (a ** k) * Fraction(1, factorial(k)) * pf[d - k] for k in range(d + 1)
+    pf = before.regularized().coefficients
+    pg = after.regularized().coefficients
+    for d in range(min(len(pf), len(pg))):
+        expected = (
+            sum(comb(d, k) * shift ** k * pf[d - k] for k in range(d + 1))
+            if shift
+            else pf[d]
         )
-        if pg[d] != rhs:
-            return d, rhs * factorial(d), pg[d] * factorial(d)
+        if pg[d] != expected:
+            return d, expected, pg[d]
     return None
+
+
+def first_period_mismatch(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
+    """series_mismatch of the periods of f and g to the given order, with
+    the shift a = c(g) - c(f).  Both inputs must be unparametrized."""
+    shift = constant_shift(f, g)
+    return series_mismatch(period_coefficients(f, order), period_coefficients(g, order), shift)
 
 
 def shift_relation_check(f: LaurentPolynomial, a, order: int = 10) -> bool:

@@ -88,6 +88,20 @@ def test_unparseable_model_names_entry(tmp_path):
         ({"kind": "toric_oracle"}, "missing key 'rays'"),
         ({"left": "x", "right": "x"}, "check 1: unknown check kind None"),
         ({"kind": "period_match", "target": "x"}, "missing key 'source', and the entry has no model"),
+        ({"kind": "toric_oracle", "rays": []}, "check 1 (toric_oracle): 'rays' must be a non-empty"),
+        ({"kind": "toric_oracle", "rays": [[1, 0], [-1]]}, "equal-length integer vectors"),
+        ({"kind": "toric_oracle", "rays": [[1], ["-1"]]}, "equal-length integer vectors"),
+        ({"kind": "toric_oracle", "rays": [[]]}, "equal-length integer vectors"),
+        (
+            {"kind": "direction_degeneration_edge", "rays": [[1], [-1]], "d": ["0"],
+             "min_support": [], "max_support": []},
+            "check 1 (direction_degeneration_edge): 'd' must give one rational per ray",
+        ),
+        (
+            {"kind": "direction_degeneration_edge", "rays": [[1], [-1]], "d": ["0", "x"],
+             "min_support": [], "max_support": []},
+            "'d' must give one rational per ray",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
@@ -167,3 +181,21 @@ def test_corrupted_coefficient_fails_with_witness(entries, tmp_path):
     bad = [c for c in report.checks if c.kind == "period_match" and not c.ok]
     assert bad and bad[0].witness_degree is not None
     assert bad[0].witness_degree <= 10
+
+
+def test_failing_chain_check_has_witness_degree(tmp_path):
+    """A mutation_chain check whose expected period is wrong fails with the
+    degree of the first mismatch."""
+    raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+    target = next(e for e in raw if e["id"] == "MM-2.5")  # compares modulo constant
+    for check in target["checks"]:
+        if check["kind"] == "mutation_chain":
+            check["expected"] = check["expected"] + "+x"
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    corrupted = load_catalog(path)
+    by_id = {e.id: e for e in corrupted}
+    report = verify_entry(by_id[target["id"]], 10, corrupted)
+    bad = [c for c in report.checks if c.kind == "mutation_chain" and not c.ok]
+    assert bad and bad[0].witness_degree is not None
+    assert f"first mismatch at degree {bad[0].witness_degree}: " in bad[0].detail

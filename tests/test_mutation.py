@@ -19,6 +19,7 @@ from lgforge import (
     run_chain,
     verify_chain,
 )
+from lgforge import mutation
 from lgforge.laurent import LaurentError
 
 
@@ -190,3 +191,51 @@ class TestChains:
         assert not report.ok
         assert report.steps[0].index == 0
         assert "divisible" in report.steps[0].detail
+
+
+CUBIC_CHAIN = MutationChain(
+    parse(
+        "y + z + y*z/x + 2*z^2/x + z^3/(x*y) + x/z + y/z + 2*y/x + 2*z/y"
+        " + 2*z/x + x/(y*z) + 2/z + y/(x*z)",
+        3,
+    ),
+    (
+        CoordStep(((1, 0, 0), (0, 1, 0), (2, 2, 1))),
+        MutationStep(MutationData((0, -1, 0), parse("z+1", 3))),
+        MutationStep(MutationData((0, 0, -1), parse("x+y+1", 3))),
+    ),
+)
+
+
+class TestChainWitnesses:
+    def test_carried_series_is_the_final_period(self):
+        chain = MutationChain(
+            CUBIC_CHAIN.start,
+            CUBIC_CHAIN.steps + (CoordStep(((0, 1, 0), (1, 0, 0), (1, 1, 1))),),
+        )
+        report = run_chain(chain, order=8)
+        assert report.ok
+        assert report.series.coefficients == period_coefficients(report.final, 8).coefficients
+
+    def test_modulo_mismatch_gives_degree_and_both_values(self):
+        wrong = parse("(x+y+1)^2*(x+y+z+1)/(x*y*z)+z+x", 3)
+        report = verify_chain(CUBIC_CHAIN, wrong, order=10, modulo_constant=True)
+        assert not report.ok
+        # P_final = 1, 0, 14, ... and P_wrong = 1, 2, 22, ... with shift 2:
+        # degree 2 expects 14 + 2*2*0 + 2^2*1 = 18
+        assert report.witness == (2, 18, 22)
+        assert report.detail.endswith("(first mismatch at degree 2: 18 vs 22)")
+
+    def test_step_mismatch_gives_degree_and_both_values(self, monkeypatch):
+        real = mutation.mutate
+        monkeypatch.setattr(mutation, "mutate", lambda f, data: real(f, data) + parse("1/x", 3))
+        chain = MutationChain(
+            parse("(x+1)^2/(x*y*z)+y+z", 3),
+            (MutationStep(MutationData((0, 1, 1), parse("x+1", 3))),),
+        )
+        report = run_chain(chain)
+        assert not report.ok
+        assert report.witness == (4, 0, 24)
+        assert report.steps[0].detail == (
+            "regularized period not preserved (first mismatch at degree 4: 0 vs 24)"
+        )

@@ -1,9 +1,12 @@
 """Period series, the constant-shift relation, and period comparisons."""
 
+import json
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,19 +142,29 @@ class TestDistinct:
 
 
 @st.composite
-def small_polys(draw):
-    n = draw(st.integers(1, 5))
-    terms = {}
-    for _ in range(n):
-        exp = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
-        coeff = draw(st.integers(-3, 3).filter(bool))
-        terms[exp] = coeff
-    return LaurentPolynomial.from_terms(2, 0, terms)
+def polys_with_unimodular_maps(draw):
+    """A polynomial of rank 2-4 and a random unimodular matrix: a product of
+    elementary row operations, a row swap and a sign flip."""
+    rank = draw(st.integers(2, 4))
+    exponent = st.tuples(*[st.integers(-2, 2)] * rank)
+    terms = draw(st.dictionaries(exponent, st.integers(-3, 3).filter(bool), min_size=1, max_size=6))
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    index = st.integers(0, rank - 1)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j, c = draw(index), draw(index), draw(st.integers(-2, 2))
+        if i != j:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    i, j = draw(index), draw(index)
+    m[i], m[j] = m[j], m[i]
+    k = draw(index)
+    m[k] = [-a for a in m[k]]
+    return LaurentPolynomial.from_terms(rank, 0, terms), m
 
 
-@settings(deadline=None, max_examples=30)
-@given(small_polys(), st.sampled_from([[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 1]]]))
-def test_regularized_period_is_gl_invariant(f, m):
+@settings(deadline=None, max_examples=40)
+@given(polys_with_unimodular_maps())
+def test_regularized_period_is_gl_invariant(case):
+    f, m = case
     g = f.apply_monomial_map(m)
     assert (
         period_coefficients(f, 8).coefficients
@@ -191,3 +204,85 @@ def test_series_matches_enumeration_oracle(f, order):
 def test_parametrized_series_matches_naive_powering(f, order):
     naive = [(f ** d).constant_term() for d in range(order + 1)]
     assert list(period_coefficients(f, order).coefficients) == naive
+
+
+@st.composite
+def wide_polys(draw, param_rank=0):
+    """Ranks 1-6 with exponents up to 2^20 + 1 in size.  Each exponent is a
+    small combination a*g + b*h + e of two wide generators, so that constant
+    terms do not all vanish.  With parameters, each coefficient is a
+    parameter polynomial with exponents -2..2."""
+    rank = draw(st.integers(1, 6))
+    wide = st.tuples(*[st.integers(-(2**18), 2**18)] * rank)
+    g, h = draw(wide), draw(wide)
+    small = st.tuples(*[st.integers(-1, 1)] * rank)
+    exponent = st.tuples(st.integers(-2, 2), st.integers(-2, 2), small).map(
+        lambda abe: tuple(abe[0] * gi + abe[1] * hi + ei for gi, hi, ei in zip(g, h, abe[2]))
+    )
+    if param_rank:
+        param_exponent = st.tuples(*[st.integers(-2, 2)] * param_rank)
+        coeff = st.dictionaries(param_exponent, rationals, min_size=1, max_size=3).map(
+            lambda terms: ParamPoly.of(param_rank, terms)
+        )
+    else:
+        coeff = rationals
+    terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
+    return LaurentPolynomial.from_terms(rank, param_rank, terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_polys(), st.integers(0, 7))
+def test_wide_exponents_match_enumeration_oracle(f, order):
+    oracle = [multinomial_constant_term(f.terms, d) for d in range(order + 1)]
+    assert list(period_coefficients(f, order).coefficients) == oracle
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3).flatmap(wide_polys), st.integers(0, 5))
+def test_wide_parametrized_series_matches_naive_powering(f, order):
+    naive = [(f ** d).constant_term() for d in range(order + 1)]
+    assert list(period_coefficients(f, order).coefficients) == naive
+
+
+@pytest.mark.parametrize("k", [3, 10, 20])
+def test_series_at_the_digit_boundary(k):
+    """x^M + x^-M + y with M = 2^k - 1, 2^k, 2^k + 1: at orders with
+    ceil(N/2) in 1, 2, 4 the largest exponent ceil(N/2)*M sits on or next
+    to a power of two.  In the parametrized variant a^M*x^M + a^M*x^-M + y
+    the constant term of degree N carries a^(N*M), the largest parameter
+    digit a pairing can form."""
+    for m in (2**k - 1, 2**k, 2**k + 1):
+        f = LaurentPolynomial.from_terms(2, 0, {(m, 0): 1, (-m, 0): 1, (0, 1): 1})
+        a_m = ParamPoly.of(1, {(m,): 1})
+        g = LaurentPolynomial.from_terms(2, 1, {(m, 0): a_m, (-m, 0): a_m, (0, 1): 1})
+        for order in range(9):
+            oracle = [multinomial_constant_term(f.terms, d) for d in range(order + 1)]
+            assert list(period_coefficients(f, order).coefficients) == oracle, (m, order)
+            naive = [(g ** d).constant_term() for d in range(order + 1)]
+            assert list(period_coefficients(g, order).coefficients) == naive, (m, order)
+
+
+def catalog_periods_n8() -> str:
+    """Regularized series at order 8 of every catalog model, param_model and
+    toric_oracle pair model, as JSON text."""
+    from lgforge import class_group, load_catalog, toric_pair_model
+    from lgforge.toric import FanData
+
+    out = {}
+    for entry in load_catalog():
+        inputs = [("model", entry.parse_model()), ("param_model", entry.parse_param_model())]
+        for index, check in enumerate(entry.checks):
+            if check.kind == "toric_oracle":
+                rays = check.payload["rays"]
+                fan = FanData(rank=len(rays[0]), rays=tuple(map(tuple, rays)))
+                inputs.append((f"toric_oracle {index}", toric_pair_model(fan, class_group(fan))))
+        for label, f in inputs:
+            if f is not None:
+                out[f"{entry.id} {label}"] = period_coefficients(f, 8).render_list()
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_catalog_periods_are_pinned():
+    """Renders of the 126 catalog series at n=8 are fixed byte for byte."""
+    golden = Path(__file__).parent / "data/periods_n8.json"
+    assert catalog_periods_n8() == golden.read_text(encoding="utf-8")
