@@ -44,6 +44,8 @@ _REQUIRED_KEYS = {
     "direction_degeneration_edge": ("rays", "d", "min_support", "max_support"),
     "toric_oracle": ("rays",),
 }
+# check kinds that read an optional series 'order'
+_ORDER_KINDS = ("period_match", "mutation_chain", "toric_oracle")
 
 
 class CatalogError(ValueError):
@@ -135,6 +137,9 @@ def _check_from_json(index: int, raw) -> Check:
             raise CatalogError(f"check {index} ({kind}): missing key {missing}")
     if "rays" in _REQUIRED_KEYS[kind]:
         _check_fan_payload(f"check {index} ({kind})", payload)
+    order = payload.get("order", 0)
+    if kind in _ORDER_KINDS and not (_is_int(order) and order >= 0):
+        raise CatalogError(f"check {index} ({kind}): 'order' must be a non-negative integer")
     return Check(kind, payload)
 
 
@@ -299,7 +304,7 @@ def _run_exact_equal(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_period_match(entry, check, resolver, order) -> CheckReport:
-    n = int(check.payload.get("order", order))
+    n = check.payload.get("order", order)
     source_spec = check.payload.get("source")
     source = (
         resolver.expr(entry, source_spec)
@@ -335,7 +340,7 @@ def _run_period_match(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
-    n = int(check.payload.get("order", order))
+    n = check.payload.get("order", order)
     start = resolver.expr(entry, check.payload["start"])
     steps = mutation.chain_steps_from_json(
         check.payload["steps"],
@@ -416,7 +421,7 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
         rank=len(check.payload["rays"][0]),
         rays=tuple(tuple(r) for r in check.payload["rays"]),
     )
-    n = int(check.payload.get("order", 8))
+    n = check.payload.get("order", 8)
     cg = toric.class_group(fan)
     model = toric.toric_pair_model(fan, cg)
     direct = period.period_coefficients(model, n, period.REGULARIZED)

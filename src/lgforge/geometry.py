@@ -1,10 +1,13 @@
 """Exact convex geometry for lattice point sets in dimension <= 4.
 
-Hulls are computed by exhaustive hyperplane enumeration: every subset of k
-affinely independent points of a k-dimensional configuration spans a
-candidate hyperplane, and the valid supporting ones give both the facet
-system and (through tightness ranks) the vertex set.  Desk-scale inputs
-keep this cheap, and everything stays exact.
+A configuration is first written in coordinates of its affine lattice, where
+it is full-dimensional.  There the hull is built by beneath-beyond: start
+from a simplex of the points and insert the others one at a time.  A point
+beyond some facets replaces them by the hyperplanes through it and the
+horizon ridges, found combinatorially as pairs of a visible and a hidden
+facet whose shared tight points span a ridge.  Normals are integer
+generalized cross products, so everything stays exact, and the work grows
+with the facets met rather than with the k-subsets of the points.
 """
 
 from __future__ import annotations
@@ -55,47 +58,93 @@ def _int_clear(fracs):
     return ints
 
 
-def _hyperplane_through(points, dim):
-    """Normal (a, c) of the unique hyperplane through ``points``, or None."""
+def _dot(a, m):
+    return sum(x * y for x, y in zip(a, m))
+
+
+def _affine_basis(points):
+    """A maximal affinely independent subset of ``points``, chosen in order.
+
+    Fraction-free elimination on the differences to the first point; each
+    kept row is zero in the pivot columns of the rows kept before it.
+    """
+    if not points:
+        return []
     base = points[0]
-    rows = [[p[i] - base[i] for i in range(dim)] for p in points[1:]]
-    kern = intlinalg.kernel_basis(rows) if rows else intlinalg.kernel_basis([[0] * dim])
-    kern = [v for v in kern if any(x != 0 for x in v)]
-    if len(kern) != 1:
-        return None
-    a = _primitive(kern[0])
-    c = sum(ai * bi for ai, bi in zip(a, base))
-    return a, c
+    basis, rows = [base], []
+    for p in points[1:]:
+        v = [x - b for x, b in zip(p, base)]
+        for col, row in rows:
+            if v[col]:
+                f, g = v[col], row[col]
+                v = [g * x - f * y for x, y in zip(v, row)]
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is not None:
+            rows.append((col, v))
+            basis.append(p)
+    return basis
+
+
+def _hyperplane_through(points):
+    """Primitive ``(a, c)`` with ``<a, m> = c`` through k affinely independent
+    points of Z^k: entry i of ``a`` is (-1)^i times the minor of the
+    difference rows that omits column i."""
+    base = points[0]
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    a = _primitive([
+        (-1) ** i * intlinalg.det([row[:i] + row[i + 1:] for row in rows])
+        for i in range(len(base))
+    ])
+    return a, _dot(a, base)
 
 
 def _full_dim_hull(points, dim):
-    """Facets and vertices of a full-dimensional configuration (dim >= 1)."""
-    facets = set()
-    if dim == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        facets.add(((1,), lo))
-        facets.add(((-1,), -hi))
-    else:
-        for subset in combinations(points, dim):
-            hp = _hyperplane_through(list(subset), dim)
-            if hp is None:
-                continue
-            a, c = hp
-            vals = [sum(ai * pi for ai, pi in zip(a, p)) for p in points]
-            if all(v >= c for v in vals):
-                facets.add((a, c))
-            elif all(v <= c for v in vals):
-                facets.add((tuple(-x for x in a), -c))
-    vertices = []
-    for p in points:
-        tight = [
-            list(a)
-            for a, c in facets
-            if sum(ai * pi for ai, pi in zip(a, p)) == c
-        ]
-        if tight and intlinalg.rank_rational(tight) == dim:
-            vertices.append(p)
+    """Facets and vertices of a full-dimensional configuration (dim >= 1),
+    inserting the points in order into the hull of a first simplex."""
+    simplex = _affine_basis(points)
+    inner = [sum(col) for col in zip(*simplex)]  # (dim + 1) times an interior point
+
+    def facet(through):
+        a, c = _hyperplane_through(through)
+        if _dot(a, inner) < (dim + 1) * c:
+            return tuple(-x for x in a), -c
+        return a, c
+
+    # facet (a, c) -> indices of the points on it that were outside the hull
+    # when inserted; these include every vertex, so they span every face.  A
+    # point inserted into the hull is never a vertex and is not recorded.
+    facets = {}
+    for p in simplex:
+        rest = [q for q in simplex if q != p]
+        facets[facet(rest)] = {points.index(q) for q in rest}
+    for i, p in enumerate(points):
+        visible = {key for key in facets if _dot(key[0], p) < key[1]}
+        hidden = facets.keys() - visible
+        new = {}
+        for v in visible:
+            for h in hidden:
+                shared = facets[v] & facets[h]
+                if len(shared) < dim - 1:
+                    continue
+                ridge = _affine_basis([points[j] for j in shared])
+                if len(ridge) == dim - 1:
+                    # keyed by its primitive (a, c), a new facet in the plane
+                    # of a hidden one merges with it below, which is how a
+                    # hidden facet gains p
+                    new.setdefault(facet(ridge + [p]), {i}).update(shared)
+        for v in visible:
+            del facets[v]
+        for key, tight in new.items():
+            facets.setdefault(key, set()).update(tight)
+
+    # the facets through a recorded point meet in its smallest face, whose
+    # recorded points include its vertices: the point is a vertex exactly
+    # when it is the only one
+    vertices = [
+        points[i]
+        for i in set().union(*facets.values())
+        if set.intersection(*(t for t in facets.values() if i in t)) == {i}
+    ]
     return sorted(facets), vertices
 
 

@@ -102,6 +102,22 @@ def test_unparseable_model_names_entry(tmp_path):
              "min_support": [], "max_support": []},
             "'d' must give one rational per ray",
         ),
+        (
+            {"kind": "period_match", "target": "x", "source": "x", "order": "ten"},
+            "check 1 (period_match): 'order' must be a non-negative integer",
+        ),
+        (
+            {"kind": "period_match", "target": "x", "source": "x", "order": True},
+            "check 1 (period_match): 'order' must be a non-negative integer",
+        ),
+        (
+            {"kind": "mutation_chain", "start": "x", "steps": [], "expected": "x", "order": -1},
+            "check 1 (mutation_chain): 'order' must be a non-negative integer",
+        ),
+        (
+            {"kind": "toric_oracle", "rays": [[1], [-1]], "order": 8.0},
+            "check 1 (toric_oracle): 'order' must be a non-negative integer",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):

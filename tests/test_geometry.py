@@ -1,10 +1,18 @@
-"""Exact hulls in low dimension, against simplex-membership oracles."""
+"""Exact hulls in low dimension, against simplex-membership and exhaustive
+hyperplane-enumeration oracles."""
 
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
+from unittest import mock
 
-from lgforge.geometry import convex_hull, vertices_of_inequalities
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lgforge import geometry, intlinalg, load_catalog, wpp_fan_polytope
+from lgforge.geometry import _primitive, convex_hull, vertices_of_inequalities
 from lgforge.intlinalg import solve_rational
 
 
@@ -41,17 +49,120 @@ def is_vertex_oracle(p, points):
     return True
 
 
+def _snf_hyperplane_through(points, dim):
+    """Normal (a, c) of the unique hyperplane through ``points``, or None."""
+    base = points[0]
+    rows = [[p[i] - base[i] for i in range(dim)] for p in points[1:]]
+    kern = intlinalg.kernel_basis(rows) if rows else intlinalg.kernel_basis([[0] * dim])
+    kern = [v for v in kern if any(x != 0 for x in v)]
+    if len(kern) != 1:
+        return None
+    a = _primitive(kern[0])
+    c = sum(ai * bi for ai, bi in zip(a, base))
+    return a, c
+
+
+def exhaustive_hull_oracle(points, dim):
+    """Facets and vertices of a full-dimensional configuration (dim >= 1).
+
+    Every subset of ``dim`` points spans a candidate hyperplane (through a
+    Smith normal form), and the supporting ones are the facets; a point is a
+    vertex when its tight normals have full rank.
+    """
+    facets = set()
+    if dim == 1:
+        lo = min(p[0] for p in points)
+        hi = max(p[0] for p in points)
+        facets.add(((1,), lo))
+        facets.add(((-1,), -hi))
+    else:
+        for subset in combinations(points, dim):
+            hp = _snf_hyperplane_through(list(subset), dim)
+            if hp is None:
+                continue
+            a, c = hp
+            vals = [sum(ai * pi for ai, pi in zip(a, p)) for p in points]
+            if all(v >= c for v in vals):
+                facets.add((a, c))
+            elif all(v <= c for v in vals):
+                facets.add((tuple(-x for x in a), -c))
+    vertices = []
+    for p in points:
+        tight = [
+            list(a)
+            for a, c in facets
+            if sum(ai * pi for ai, pi in zip(a, p)) == c
+        ]
+        if tight and intlinalg.rank_rational(tight) == dim:
+            vertices.append(p)
+    return sorted(facets), vertices
+
+
+def hull_by_enumeration(points):
+    """``convex_hull`` with its full-dimensional step done by the oracle."""
+    with mock.patch.object(geometry, "_full_dim_hull", exhaustive_hull_oracle):
+        return convex_hull(points)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Points of rank 1-4: boxes, many points on one facet, collinear runs
+    and single points or pairs, sometimes embedded in a higher-dimensional
+    lattice by an integer affine map."""
+    rank = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    point = st.tuples(*[coord] * rank)
+    shape = draw(st.sampled_from(("box", "facet", "line", "tiny")))
+    most = 2 if shape == "tiny" else (6, 12, 10, 8)[rank - 1]
+    size = draw(st.integers(1 if shape == "tiny" else rank + 1, most))
+    points = draw(st.lists(point, min_size=size, max_size=size))
+    if shape == "facet":
+        w = draw(point.filter(any))
+        c = min(sum(a * b for a, b in zip(w, p)) for p in points)
+        plane = [
+            p for p in product(range(-3, 4), repeat=rank)
+            if sum(a * b for a, b in zip(w, p)) == c
+        ]
+        points += draw(st.lists(st.sampled_from(plane), max_size=8))
+    elif shape == "line":
+        start, step = draw(point), draw(point)
+        points += [
+            tuple(a + j * b for a, b in zip(start, step))
+            for j in range(draw(st.integers(2, 6)))
+        ]
+    extra = draw(st.integers(0, 2))
+    if extra:
+        rows = draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+            min_size=rank + extra, max_size=rank + extra,
+        ))
+        shift = draw(st.lists(st.integers(-3, 3), min_size=rank + extra, max_size=rank + extra))
+        points = [
+            tuple(o + sum(a * b for a, b in zip(row, p)) for row, o in zip(rows, shift))
+            for p in points
+        ]
+    return points
+
+
+@settings(deadline=None, max_examples=200)
+@given(hull_inputs())
+def test_hull_matches_exhaustive_oracle(points):
+    assert convex_hull(points) == hull_by_enumeration(points)
+
+
 def test_hull_vertices_match_oracle_in_3d():
+    """Vertices of random sets in ranks 3 and 4 against simplex membership."""
     rng = random.Random(3131)
-    for _ in range(25):
-        points = {
-            tuple(rng.randint(-2, 2) for _ in range(3))
-            for _ in range(rng.randint(2, 8))
-        }
-        points = sorted(points)
-        hull = convex_hull(points)
-        oracle = sorted(p for p in points if is_vertex_oracle(p, points))
-        assert sorted(hull.vertices) == oracle, points
+    for rank, max_points in ((3, 8), (4, 9)):
+        for _ in range(25):
+            points = {
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(2, max_points))
+            }
+            points = sorted(points)
+            hull = convex_hull(points)
+            oracle = sorted(p for p in points if is_vertex_oracle(p, points))
+            assert sorted(hull.vertices) == oracle, points
 
 
 def test_hull_system_supports_all_points():
@@ -84,3 +195,41 @@ def test_vertices_of_inequalities_empty():
     normals = [(1,), (-1,)]
     rhs = [1, 1]  # x >= 1 and -x >= 1
     assert vertices_of_inequalities(normals, rhs) == []
+
+
+# weights of the weighted projective planes in the benchmark's cli mix
+WPP_WEIGHTS = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 4), (2, 3, 5), (1, 4, 25))
+
+
+def pinned_hulls() -> str:
+    """``(dim, vertices, system)`` of every catalog support and fan, the wpp
+    fan polytopes and 40 seeded random sets, one hull per line of JSON."""
+    inputs = {}
+    for entry in load_catalog():
+        models = (("model", entry.parse_model()), ("param_model", entry.parse_param_model()))
+        for label, f in models:
+            if f is not None:
+                inputs[f"{entry.id} {label}"] = list(f.terms)
+        for index, check in enumerate(entry.checks):
+            if "rays" in check.payload:
+                inputs[f"{entry.id} {check.kind} {index}"] = check.payload["rays"]
+    for weights in WPP_WEIGHTS:
+        inputs[f"wpp {weights}"] = wpp_fan_polytope(*weights).vertices
+    rng = random.Random(4040)
+    for i in range(40):
+        rank, box = 2 + i % 3, rng.randint(1, 3)
+        inputs[f"random {i}"] = [
+            tuple(rng.randint(-box, box) for _ in range(rank))
+            for _ in range(rng.randint(8, 24))
+        ]
+    lines = []
+    for label, points in inputs.items():
+        hull = convex_hull(points)
+        lines.append(f" {json.dumps(label)}: {json.dumps([hull.dim, hull.vertices, hull.system])}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_hulls_are_pinned():
+    """Hulls of the catalog inputs and of random sets are fixed byte for byte."""
+    golden = Path(__file__).parent / "data/hulls.json"
+    assert pinned_hulls() == golden.read_text(encoding="utf-8")
