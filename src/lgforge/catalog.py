@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from . import degeneration, mutation, period, toric
@@ -247,10 +249,7 @@ class _Resolver:
         model = entry.parse_model()
         if model is None:
             raise CatalogError(f"entry {entry_id!r} has no model polynomial")
-        if entry.param_rank and model.param_rank:
-            ones = {i: Fraction(1) for i in range(model.param_rank)}
-            model = model.substitute_parameters(ones)
-        return model
+        return _strip_params(model)
 
     def expr(self, entry: CatalogEntry, spec, rank=None) -> LaurentPolynomial:
         """An expression spec: a string, or {"param_model_at": {...}}."""
@@ -440,8 +439,7 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
         )
     detail = f"oracle agreement to order {n}"
     if check.payload.get("match_model", False):
-        ones = {i: Fraction(1) for i in range(model.param_rank)}
-        specialized = model.substitute_parameters(ones)
+        specialized = _strip_params(model)
         target = _strip_params(entry.parse_model())
         if specialized != target:
             return CheckReport(
@@ -484,22 +482,6 @@ def verify_entry(
     return report
 
 
-def _verify_one(args):
-    path, entry_id, order = args
-    entries = _load_cached(path)
-    by_id = {e.id: e for e in entries}
-    return verify_entry(by_id[entry_id], order, entries)
-
-
-_CACHE: dict[str, list[CatalogEntry]] = {}
-
-
-def _load_cached(path: str) -> list[CatalogEntry]:
-    if path not in _CACHE:
-        _CACHE[path] = load_catalog(path)
-    return _CACHE[path]
-
-
 def select_entries(entries: list[CatalogEntry], id_filter: str | None) -> list[CatalogEntry]:
     """Entries whose id matches the glob, or starts with it; all for None."""
     if id_filter is None:
@@ -517,18 +499,23 @@ def verify_all(
     id_filter: str | None = None,
     workers: int = 1,
 ) -> list[EntryReport]:
-    """Verify every (filtered) entry; reports are ordered by id."""
-    if path is None:
-        path = default_catalog_path()
-    path = str(path)
-    entries = _load_cached(path)
+    """Verify every (filtered) entry; reports are ordered by id.
+
+    The file is read on every call.  At most ``workers`` processes run the
+    entries, and never more than there are entries or cores.
+    """
+    entries = load_catalog(path)
     selected = select_entries(entries, id_filter)
-    if workers > 1 and len(selected) > 1:
+    workers = min(workers, len(selected), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            # a task pickles the whole entry list once per chunk; four chunks
+            # per worker still balance the uneven entry costs
+            chunk = -(-len(selected) // (4 * workers))
             reports = list(
-                pool.map(_verify_one, [(path, e.id, order) for e in selected])
+                pool.map(verify_entry, selected, repeat(order), repeat(entries), chunksize=chunk)
             )
     else:
         reports = [verify_entry(e, order, entries) for e in selected]

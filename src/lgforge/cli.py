@@ -38,6 +38,13 @@ def _parse_matrix(text: str) -> list[list[int]]:
     return [_parse_ints(row) for row in text.split(";")]
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text) if text.strip().lstrip("+-").isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _load_fan(path: str) -> toric.FanData:
     with open(path, encoding="utf-8") as fh:
         return toric.FanData.from_json(json.load(fh))
@@ -457,7 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = cat_subs.add_parser("verify", help="run all declared checks")
     p.add_argument("--id", help="id glob or prefix filter")
     p.add_argument("--n", type=int, default=10, help="period comparison order")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads",
+        type=_at_least_one,
+        default=os.cpu_count() or 1,
+        help="worker processes, at most one per core and per entry",
+    )
     p.add_argument("--catalog", help="path to a catalog file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog_verify)

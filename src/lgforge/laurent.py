@@ -11,11 +11,20 @@ Canonical form: no stored coefficient is zero, rationals are in lowest
 terms (integral rationals are stored as ``int``), and a ``ParamPoly`` that
 is actually constant collapses to its scalar.  Two polynomials are equal
 iff their canonical term maps are equal.
+
+A coefficient is zero iff it is falsy: ``int`` and ``Fraction`` zeros are
+falsy, ``ParamPoly`` is truthy iff it has terms, and ``ParamPoly``
+arithmetic returns canonical values.  ``ParamPoly`` and
+``LaurentPolynomial`` share one sparse kernel on their term maps:
+``_sum_terms`` and ``_product_terms`` accumulate with no test for zero,
+and ``_canonicalize`` then drops the zeros and normalizes the scalars once,
+at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from . import geometry, intlinalg
 
@@ -35,6 +44,62 @@ def _norm_scalar(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _canonicalize(terms: dict, keys) -> dict:
+    """The one coefficient rule, applied in place to ``terms[e]`` for each
+    ``e`` in ``keys``: drop zeros, keep ints and ParamPoly values, and
+    normalize any other scalar."""
+    for e in keys:
+        c = terms[e]
+        if not c:
+            del terms[e]
+        elif not isinstance(c, (int, ParamPoly)):
+            terms[e] = _norm_scalar(c)
+    return terms
+
+
+def _sum_terms(a: dict, b: dict) -> dict:
+    """Canonical term map of a + b for canonical a and b.  Only the keys of
+    the smaller map can change, so only those are canonicalized."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        out[e] = get(e, 0) + c
+    return _canonicalize(out, b)
+
+
+def _product_terms(a: dict, b: dict, rank: int) -> dict:
+    """Canonical term map of a * b for exponent tuples of length rank.
+    Ranks 1-3 unpack exponents in the loop header, which builds the keys
+    2-2.5x faster than the generic ``tuple(map(add, ...))``."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    if rank == 1:
+        for (x1,), c1 in a.items():
+            for (x2,), c2 in b.items():
+                e = (x1 + x2,)
+                out[e] = get(e, 0) + c1 * c2
+    elif rank == 2:
+        for (x1, y1), c1 in a.items():
+            for (x2, y2), c2 in b.items():
+                e = (x1 + x2, y1 + y2)
+                out[e] = get(e, 0) + c1 * c2
+    elif rank == 3:
+        for (x1, y1, z1), c1 in a.items():
+            for (x2, y2, z2), c2 in b.items():
+                e = (x1 + x2, y1 + y2, z1 + z2)
+                out[e] = get(e, 0) + c1 * c2
+    else:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return _canonicalize(out, list(out))
 
 
 def grlex_key(exponent: Exponent):
@@ -59,18 +124,7 @@ class ParamPoly:
     @staticmethod
     def of(rank: int, terms: dict):
         """Canonicalize: drop zeros, collapse constants to scalars."""
-        clean = {}
-        for exp, coeff in terms.items():
-            coeff = _norm_scalar(coeff)
-            if coeff != 0:
-                clean[tuple(exp)] = coeff
-        if not clean:
-            return 0
-        if len(clean) == 1:
-            (exp, coeff), = clean.items()
-            if all(e == 0 for e in exp):
-                return coeff
-        return ParamPoly(rank, clean)
+        return _param_value(rank, _canonicalize(dict(terms), terms))
 
     @staticmethod
     def parameter(rank: int, index: int):
@@ -89,14 +143,7 @@ class ParamPoly:
     def __add__(self, other):
         if isinstance(other, ParamPoly) and other.rank != self.rank:
             raise LaurentError("parameter rank mismatch")
-        out = dict(self.terms)
-        for exp, coeff in ParamPoly.coerce(self.rank, other).items():
-            new = out.get(exp, 0) + coeff
-            if new == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = new
-        return ParamPoly.of(self.rank, out)
+        return _param_value(self.rank, _sum_terms(self.terms, ParamPoly.coerce(self.rank, other)))
 
     __radd__ = __add__
 
@@ -113,16 +160,7 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             if other.rank != self.rank:
                 raise LaurentError("parameter rank mismatch")
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    new = out.get(e, 0) + c1 * c2
-                    if new == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = new
-            return ParamPoly.of(self.rank, out)
+            return _param_value(self.rank, _product_terms(self.terms, other.terms, self.rank))
         other = _norm_scalar(other)
         if other == 0:
             return 0
@@ -184,11 +222,7 @@ class ParamPoly:
             if not ok:
                 continue
             key = tuple(new_exp)
-            new = out.get(key, 0) + coeff * factor
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
+            out[key] = out.get(key, 0) + coeff * factor
         return ParamPoly.of(new_rank, out)
 
     def render(self, with_parens: bool = True) -> str:
@@ -216,6 +250,17 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+def _param_value(rank: int, clean: dict):
+    """A canonical parameter term map as a value: 0, its constant, or a ParamPoly."""
+    if not clean:
+        return 0
+    if len(clean) == 1:
+        (exp, coeff), = clean.items()
+        if not any(exp):
+            return coeff
+    return ParamPoly(rank, clean)
+
+
 def _scalar_term_text(coeff, monomial: str) -> str:
     """Join a rational coefficient with a monomial string ('' for none)."""
     if not monomial:
@@ -225,10 +270,6 @@ def _scalar_term_text(coeff, monomial: str) -> str:
     if coeff == -1:
         return "-" + monomial
     return f"{coeff}*{monomial}"
-
-
-def _coeff_is_zero(c) -> bool:
-    return c == 0 if not isinstance(c, ParamPoly) else not c.terms
 
 
 class LaurentPolynomial:
@@ -251,11 +292,8 @@ class LaurentPolynomial:
                 raise LaurentError(
                     f"exponent {exp} has length {len(exp)}, expected rank {rank}"
                 )
-            if not isinstance(coeff, ParamPoly):
-                coeff = _norm_scalar(coeff)
-            if not _coeff_is_zero(coeff):
-                clean[exp] = coeff
-        return LaurentPolynomial(rank, param_rank, clean)
+            clean[exp] = coeff
+        return LaurentPolynomial(rank, param_rank, _canonicalize(clean, list(clean)))
 
     @staticmethod
     def zero(rank: int, param_rank: int = 0) -> "LaurentPolynomial":
@@ -307,10 +345,7 @@ class LaurentPolynomial:
         )
 
     def __hash__(self):
-        items = []
-        for exp, coeff in self.terms.items():
-            items.append((exp, coeff if not isinstance(coeff, ParamPoly) else coeff))
-        return hash((self.rank, self.param_rank, frozenset(items)))
+        return hash((self.rank, self.param_rank, frozenset(self.terms.items())))
 
     def _check_compatible(self, other: "LaurentPolynomial"):
         if self.rank != other.rank or self.param_rank != other.param_rank:
@@ -325,14 +360,7 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return self + LaurentPolynomial.constant(other, self.rank, self.param_rank)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            new = out.get(exp, 0) + coeff
-            if _coeff_is_zero(new):
-                out.pop(exp, None)
-            else:
-                out[exp] = new if isinstance(new, ParamPoly) else _norm_scalar(new)
-        return LaurentPolynomial(self.rank, self.param_rank, out)
+        return LaurentPolynomial(self.rank, self.param_rank, _sum_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -350,65 +378,12 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            # scalar or ParamPoly multiple
-            if _coeff_is_zero(other):
-                return LaurentPolynomial.zero(self.rank, self.param_rank)
-            out = {}
-            for exp, coeff in self.terms.items():
-                new = coeff * other
-                if not _coeff_is_zero(new):
-                    out[exp] = new if isinstance(new, ParamPoly) else _norm_scalar(new)
-            return LaurentPolynomial(self.rank, self.param_rank, out)
-        self._check_compatible(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        rank = self.rank
-        if rank == 1:
-            for e1, c1 in a.items():
-                x1 = e1[0]
-                for e2, c2 in b.items():
-                    e = (x1 + e2[0],)
-                    new = out.get(e, 0) + c1 * c2
-                    if _coeff_is_zero(new):
-                        out.pop(e, None)
-                    else:
-                        out[e] = new
-        elif rank == 2:
-            for e1, c1 in a.items():
-                x1, y1 = e1
-                for e2, c2 in b.items():
-                    e = (x1 + e2[0], y1 + e2[1])
-                    new = out.get(e, 0) + c1 * c2
-                    if _coeff_is_zero(new):
-                        out.pop(e, None)
-                    else:
-                        out[e] = new
-        elif rank == 3:
-            for e1, c1 in a.items():
-                x1, y1, z1 = e1
-                for e2, c2 in b.items():
-                    e = (x1 + e2[0], y1 + e2[1], z1 + e2[2])
-                    new = out.get(e, 0) + c1 * c2
-                    if _coeff_is_zero(new):
-                        out.pop(e, None)
-                    else:
-                        out[e] = new
-        else:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(i + j for i, j in zip(e1, e2))
-                    new = out.get(e, 0) + c1 * c2
-                    if _coeff_is_zero(new):
-                        out.pop(e, None)
-                    else:
-                        out[e] = new
-        for e, c in out.items():
-            if not isinstance(c, ParamPoly):
-                out[e] = _norm_scalar(c)
-        return LaurentPolynomial(self.rank, self.param_rank, out)
+        if isinstance(other, LaurentPolynomial):
+            self._check_compatible(other)
+            terms = _product_terms(self.terms, other.terms, self.rank)
+        else:  # scalar or ParamPoly multiple
+            terms = _canonicalize({e: c * other for e, c in self.terms.items()}, self.terms)
+        return LaurentPolynomial(self.rank, self.param_rank, terms)
 
     __rmul__ = __mul__
 
@@ -465,21 +440,13 @@ class LaurentPolynomial:
         remaining = [i for i in range(self.param_rank) if i not in assign]
         index_map = {old: new for new, old in enumerate(remaining)}
         new_rank = len(remaining)
-        out: dict = {}
-        for exp, coeff in self.terms.items():
-            if isinstance(coeff, ParamPoly):
-                new_coeff = coeff.substitute(assign, new_rank, index_map)
-            else:
-                new_coeff = coeff
-            if _coeff_is_zero(new_coeff):
-                continue
-            prev = out.get(exp)
-            new = new_coeff if prev is None else prev + new_coeff
-            if _coeff_is_zero(new):
-                out.pop(exp, None)
-            else:
-                out[exp] = new if isinstance(new, ParamPoly) else _norm_scalar(new)
-        return LaurentPolynomial(self.rank, new_rank, out)
+        out = {
+            exp: coeff.substitute(assign, new_rank, index_map)
+            if isinstance(coeff, ParamPoly)
+            else coeff
+            for exp, coeff in self.terms.items()
+        }
+        return LaurentPolynomial(self.rank, new_rank, _canonicalize(out, self.terms))
 
     def newton_polytope(self):
         """Vertices of the convex hull of the support (exact)."""
@@ -588,39 +555,6 @@ class NewtonPolytopeData:
         return f"NewtonPolytopeData(vertices={sorted(self.vertices)}, dim={self.dimension})"
 
 
-# -- module-level operation aliases (functional style) ----------------------
-
-
-def multiply(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    return f * g
-
-
-def power(f: LaurentPolynomial, d: int) -> LaurentPolynomial:
-    if d < 0:
-        raise LaurentError("power exponent must be nonnegative")
-    return f ** d
-
-
-def constant_term(f: LaurentPolynomial):
-    return f.constant_term()
-
-
-def apply_monomial_map(f: LaurentPolynomial, matrix) -> LaurentPolynomial:
-    return f.apply_monomial_map(matrix)
-
-
-def newton_polytope(f: LaurentPolynomial) -> NewtonPolytopeData:
-    return f.newton_polytope()
-
-
-def substitute_parameters(f: LaurentPolynomial, values: dict) -> LaurentPolynomial:
-    return f.substitute_parameters(values)
-
-
-def render(f: LaurentPolynomial) -> str:
-    return f.render()
-
-
 def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):
     """Exact quotient p/q in the Laurent ring, or None if q does not divide p.
 
@@ -670,12 +604,12 @@ def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):
             factor = _norm_scalar(Fraction(lead_coeff) / q_lead_coeff)
         quotient[diff] = factor
         for qexp, qcoeff in qterms.items():
-            target = tuple(a + b for a, b in zip(diff, qexp))
+            target = tuple(map(add, diff, qexp))
             new = remainder.get(target, 0) - factor * qcoeff
-            if _coeff_is_zero(new):
-                remainder.pop(target, None)
-            else:
+            if new:
                 remainder[target] = new
+            else:
+                del remainder[target]
     shift = tuple(a - b for a, b in zip(sp, sq))
     out = {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in quotient.items()}
     return LaurentPolynomial(rank, p.param_rank, out)

@@ -292,23 +292,24 @@ def toric_quantum_period(fan: FanData, cg: ClassGroupData, order: int) -> Period
     """
     if order < 0:
         raise ToricError("order must be nonnegative")
-    r = cg.class_rank
     slice_ = relation_monoid(fan, order)
+    return _class_series(
+        fan, cg, order, ((sum(k), k, _multinomial(sum(k), k)) for k in slice_.tuples)
+    )
+
+
+def _class_series(fan: FanData, cg: ClassGroupData, order: int, terms) -> PeriodSeries:
+    """Regularized series from (degree, monoid tuple, weight) triples: each
+    adds weight times the parameter monomial of the tuple's class at its
+    degree.  With no parameters the coefficients are scalars."""
+    r = cg.class_rank
     coeffs = [dict() for _ in range(order + 1)]
-    for k in slice_.tuples:
-        d = sum(k)
-        weight = _multinomial(d, k)
+    for d, k, weight in terms:
         cls = tuple(
             sum(k[i] * cg.section[i][j] for i in range(fan.n_rays)) for j in range(r)
         )
         coeffs[d][cls] = coeffs[d].get(cls, 0) + weight
-    out = []
-    for d in range(order + 1):
-        if r == 0:
-            out.append(sum(coeffs[d].values()) if coeffs[d] else 0)
-        else:
-            out.append(ParamPoly.of(r, coeffs[d]))
-    return PeriodSeries(order, REGULARIZED, r, tuple(out))
+    return PeriodSeries(order, REGULARIZED, r, tuple(ParamPoly.of(r, c) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,6 @@ def ci_quantum_period(
         raise ToricError("order must be nonnegative")
     partition.validate(fan.n_rays)
     s0 = partition.blocks[0]
-    r = cg.class_rank
     # A tuple with S_0 subtotal 0 would make the slice infinite (S_0 not ample).
     probe = relation_monoid(fan, 2 * fan.n_rays)
     for k in probe.tuples:
@@ -355,27 +355,23 @@ def ci_quantum_period(
             raise ToricError("S_0 block is not ample: relation with zero S_0 degree")
     total_bound = order * fan.n_rays
     slice_ = relation_monoid(fan, total_bound, s0_indices=s0, s0_bound=order)
-    coeffs = [dict() for _ in range(order + 1)]
-    for k in slice_.tuples:
-        d = sum(k[i] for i in s0)
-        num = 1
-        for block in partition.blocks:
-            num *= factorial(sum(k[i] for i in block))
-        den = 1
-        for x in k:
-            den *= factorial(x)
-        weight = Fraction(num, den)
-        cls = tuple(
-            sum(k[i] * cg.section[i][j] for i in range(fan.n_rays)) for j in range(r)
-        )
-        coeffs[d][cls] = coeffs[d].get(cls, 0) + weight
-    out = []
-    for d in range(order + 1):
-        if r == 0:
-            out.append(sum(coeffs[d].values()) if coeffs[d] else 0)
-        else:
-            out.append(ParamPoly.of(r, coeffs[d]))
-    return PeriodSeries(order, REGULARIZED, r, tuple(out))
+    return _class_series(
+        fan,
+        cg,
+        order,
+        ((sum(k[i] for i in s0), k, _ci_weight(k, partition.blocks)) for k in slice_.tuples),
+    )
+
+
+def _ci_weight(k, blocks) -> Fraction:
+    """(prod over blocks of (block subtotal)!) / (prod k_i!)."""
+    num = 1
+    for block in blocks:
+        num *= factorial(sum(k[i] for i in block))
+    den = 1
+    for x in k:
+        den *= factorial(x)
+    return Fraction(num, den)
 
 
 def fibre_fan(fan: FanData, projection) -> FanData:

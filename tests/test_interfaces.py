@@ -1,6 +1,8 @@
 """Cross-cutting interface behaviour: worker pools, env override, fan files."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -14,6 +16,61 @@ def test_verify_all_with_worker_pool_matches_serial():
     assert [r.entry_id for r in serial] == [r.entry_id for r in parallel]
     assert [r.ok for r in serial] == [r.ok for r in parallel]
     assert all(r.ok for r in parallel)
+
+
+@pytest.mark.parametrize(
+    "threads, cores, pools",
+    [(5000, 64, [8]), (5000, 3, [3]), (5000, None, []), (2, 64, [2]), (1, 64, [])],
+)
+def test_worker_count_is_clamped_to_entries_and_cores(monkeypatch, threads, cores, pools):
+    """The eight dP entries never get more workers than entries or cores.
+    The stand-in pool records its size and starts no process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    reports = verify_all(order=2, id_filter="dP-*", workers=threads)
+    assert started == pools
+    assert len(reports) == 8 and all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["catalog", "verify", "--threads", threads])
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_all_reads_the_file_on_every_call(tmp_path):
+    check = {"kind": "period_match", "source": "x + y + 1/(x*y)", "target": "x + y + 1/(x*y)", "order": 6}
+    entry = {
+        "id": "rewritten",
+        "dim": 2,
+        "picard_rank": 1,
+        "model": "x + y + 1/(x*y)",
+        "params": [],
+        "checks": [check],
+    }
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    assert [r.ok for r in verify_all(path=path, workers=1)] == [True]
+    check["source"] = "x + y + 2/(x*y)"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    assert [r.ok for r in verify_all(path=path, workers=1)] == [False]
 
 
 def test_env_var_overrides_catalog_path(tmp_path, capsys, monkeypatch):
@@ -97,17 +154,6 @@ def test_exact_vs_polytope_equality_are_distinct_notions():
     g = parse("x + 2*y + 1/(x*y) + 1", 2)
     assert f != g
     assert f.newton_polytope() == g.newton_polytope()
-
-
-def test_module_level_operation_aliases():
-    from lgforge import laurent
-
-    f = parse("x + 1/x", 1)
-    assert laurent.multiply(f, f) == laurent.power(f, 2)
-    assert laurent.constant_term(laurent.power(f, 2)) == 2
-    assert laurent.render(f) == "x+1/x"
-    with pytest.raises(laurent.LaurentError):
-        laurent.power(f, -1)
 
 
 def test_catalog_entries_have_declared_dimensions():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgforge import LaurentPolynomial, parse
+from lgforge import LaurentPolynomial, ParamPoly, parse
 from lgforge.laurent import LaurentError
 from lgforge.parsing import ExpressionError
 
@@ -285,9 +285,106 @@ def test_monomial_map_transforms_vertices(f, m):
     assert mapped == set(after)
 
 
-@given(polynomials())
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def coefficients_at(draw, param_rank):
+    """A rational, or with parameters a parameter polynomial (which may
+    collapse to a scalar) with exponents -1..2."""
+    if not param_rank:
+        return draw(rationals)
+    param_exponent = st.tuples(*[st.integers(-1, 2)] * param_rank)
+    terms = draw(st.dictionaries(param_exponent, rationals, min_size=1, max_size=3))
+    return ParamPoly.of(param_rank, terms)
+
+
+@st.composite
+def laurent_polys(draw, rank, param_rank):
+    """Up to six terms with exponents -2..2; the small ranges make products
+    collide and cancel."""
+    exponent = st.tuples(*[st.integers(-2, 2)] * rank)
+    terms = draw(st.dictionaries(exponent, coefficients_at(param_rank), max_size=6))
+    return LaurentPolynomial.from_terms(rank, param_rank, terms)
+
+
+def flat_terms(f) -> dict:
+    """{(parameter exponent, torus exponent): Fraction} of f."""
+    out = {}
+    for exp, coeff in f.terms.items():
+        if isinstance(coeff, ParamPoly):
+            for pexp, c in coeff.terms.items():
+                out[pexp, exp] = Fraction(c)
+        else:
+            out[(0,) * f.param_rank, exp] = Fraction(coeff)
+    return out
+
+
+def naive_sum(f, g) -> dict:
+    out = flat_terms(f)
+    for key, c in flat_terms(g).items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def naive_product(f, g) -> dict:
+    """Independent oracle: every pair of flattened terms, nested loops."""
+    out = {}
+    for (p1, e1), c1 in flat_terms(f).items():
+        for (p2, e2), c2 in flat_terms(g).items():
+            p = tuple(a + b for a, b in zip(p1, p2))
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[p, e] = out.get((p, e), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def is_canonical_scalar(c) -> bool:
+    return type(c) is int and c != 0 or type(c) is Fraction and c.denominator != 1
+
+
+def assert_canonical(f):
+    """No zero coefficient, integral rationals as int, no constant ParamPoly."""
+    for exp, coeff in f.terms.items():
+        assert len(exp) == f.rank
+        if isinstance(coeff, ParamPoly):
+            assert coeff.rank == f.param_rank
+            assert len(coeff.terms) > 1 or any(next(iter(coeff.terms)))
+            assert all(is_canonical_scalar(c) for c in coeff.terms.values())
+        else:
+            assert is_canonical_scalar(coeff)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two polynomials at a common rank 1-5 (each unrolled product branch
+    and the generic one) and parameter rank 0-3, plus a scalar or
+    parameter coefficient."""
+    rank = draw(st.integers(1, 5))
+    param_rank = draw(st.integers(0, 3))
+    f = draw(laurent_polys(rank, param_rank))
+    g = draw(laurent_polys(rank, param_rank))
+    return f, g, draw(coefficients_at(param_rank))
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_operands())
+def test_sum_and_product_match_naive_oracle(operands):
+    f, g, c = operands
+    # (f + g) * (f - g) cancels the cross terms, f + (-f) every term
+    pairs = [(f, g), (f + g, f - g), (f, -f)]
+    for a, b in pairs:
+        for result, expected in ((a + b, naive_sum(a, b)), (a * b, naive_product(a, b))):
+            assert flat_terms(result) == expected
+            assert_canonical(result)
+    constant = LaurentPolynomial.constant(c, f.rank, f.param_rank)
+    assert flat_terms(f * c) == naive_product(f, constant)
+    assert_canonical(f * c)
+
+
+@settings(deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(0, 3)).flatmap(lambda r: laurent_polys(*r)))
 def test_render_parse_round_trip(f):
-    assert parse(f.render(), 2) == f
+    assert parse(f.render(), f.rank, f.param_rank) == f
 
 
 def test_render_round_trip_with_parameters():
