@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import intlinalg
 
@@ -42,20 +42,6 @@ def _primitive(vec):
     if g == 0:
         return None
     return tuple(x // g for x in vec)
-
-
-def _int_clear(fracs):
-    """Scale a rational vector to a primitive integer vector (positive factor)."""
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
 
 
 def _dot(a, m):
@@ -170,56 +156,64 @@ def convex_hull(points) -> HullData:
     if k == 0:
         return HullData(dim=0, vertices=(base,), system=tuple(system))
 
-    # coordinates of each point in the difference lattice (always integral)
-    bt = intlinalg.transpose(basis)  # n x k
+    # coordinates of each point in the echelon basis, by exact substitution:
+    # only row j is nonzero in its pivot column among rows j, j+1, ...
+    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
     proj = []
     for p in pts:
-        rhs = [p[i] - base[i] for i in range(n)]
-        u = intlinalg.solve_rational(bt, rhs)
-        proj.append(tuple(int(x) for x in u))
+        v = [x - b for x, b in zip(p, base)]
+        u = []
+        for row, col in zip(basis, pivots):
+            q = v[col] // row[col]
+            v = [x - q * y for x, y in zip(v, row)]
+            u.append(q)
+        proj.append(tuple(u))
 
     facets, proj_vertices = _full_dim_hull(proj, k)
 
-    # pull facet inequalities back to the ambient space:
-    # u = L (m - base) with L a rational left inverse of bt
-    gram = intlinalg.mat_mul(basis, bt)  # k x k, invertible
-    vert_set = set(proj_vertices)
     vertices = sorted(
-        tuple(base[i] + sum(bt[i][j] * u[j] for j in range(k)) for i in range(n))
-        for u in vert_set
+        tuple(b + sum(uj * row[i] for uj, row in zip(u, basis)) for i, b in enumerate(base))
+        for u in set(proj_vertices)
     )
+    # pull each facet back to the ambient space: u = gram^-1 basis (m - base),
+    # so <a, u> >= c reads <basis^T adj(gram) a, m - base> >= det(gram) c,
+    # with det(gram) > 0 for the Gram matrix of independent rows
+    gram = intlinalg.mat_mul(basis, intlinalg.transpose(basis))
+    back = intlinalg.mat_mul(intlinalg.adjugate(gram), basis)  # k x n
+    scale = intlinalg.det(gram)
     for a, c in facets:
-        y = intlinalg.solve_rational(gram, list(a))  # gram y = a
-        arow = [
-            sum(Fraction(basis[j][i]) * y[j] for j in range(k)) for i in range(n)
-        ]  # L^T a
-        cfull = Fraction(c) + sum(ai * bi for ai, bi in zip(arow, base))
-        ints = _int_clear(list(arow) + [cfull])
-        system.append((tuple(ints[:-1]), ints[-1]))
+        normal = [sum(aj * row[i] for aj, row in zip(a, back)) for i in range(n)]
+        g = gcd(*normal)
+        system.append((tuple(x // g for x in normal), (scale * c + _dot(normal, base)) // g))
     return HullData(dim=k, vertices=tuple(vertices), system=tuple(sorted(set(system))))
 
 
 def vertices_of_inequalities(normals, rhs):
     """Vertices of ``{m : <normals[i], m> >= rhs[i]}`` by basis enumeration.
 
-    ``rhs`` entries may be Fractions.  Returns exact rational vertex tuples;
-    an empty list means the polyhedron has no vertex (for pointed systems,
-    that it is empty).
+    ``normals`` are integer and ``rhs`` entries may be Fractions.  Each
+    nonsingular choice of n inequalities is solved by Cramer's rule over the
+    integers, after clearing the denominators of ``rhs``.  Returns exact
+    rational vertex tuples; an empty list means the polyhedron has no vertex
+    (for pointed systems, that it is empty).
     """
     m = len(normals)
     n = len(normals[0]) if m else 0
+    rhs = [Fraction(b) for b in rhs]
+    den = lcm(*(b.denominator for b in rhs))
+    b = [int(x * den) for x in rhs]  # <normals[i], m> >= b[i] / den
     vertices = set()
     for subset in combinations(range(m), n):
-        a = [normals[i] for i in subset]
-        b = [rhs[i] for i in subset]
-        if intlinalg.rank_rational(a) != n:
+        a = [list(normals[i]) for i in subset]
+        d = intlinalg.det(a)
+        if d == 0:
             continue
-        x = intlinalg.solve_rational(a, b)
-        if x is None:
-            continue
-        if all(
-            sum(Fraction(normals[i][j]) * x[j] for j in range(n)) >= rhs[i]
-            for i in range(m)
-        ):
-            vertices.add(tuple(x))
+        sign = 1 if d > 0 else -1
+        # the solution is x / (|d| den)
+        x = [
+            sign * intlinalg.det([row[:j] + [b[i]] + row[j + 1:] for i, row in zip(subset, a)])
+            for j in range(n)
+        ]
+        if all(_dot(normals[i], x) >= b[i] * abs(d) for i in range(m)):
+            vertices.add(tuple(Fraction(xj, abs(d) * den) for xj in x))
     return sorted(vertices)

@@ -1,14 +1,15 @@
-"""Exact linear algebra on small integer and rational matrices.
+"""Exact linear algebra on small integer matrices.
 
 Matrices are lists of row lists.  All work here is on tiny inputs (at most
-a dozen rows), so the code favours clarity and exactness over asymptotics:
-integer computations use Smith/Hermite reductions, rational ones use plain
-Gaussian elimination over ``fractions.Fraction``.
+a dozen rows), so the code favours clarity and exactness over asymptotics.
+Everything stays in the integers: determinants are fraction-free
+(Bareiss), lattices are reduced to Smith and Hermite normal forms, and a
+rational inverse is never formed.  Where one would be, callers use the
+adjugate, ``adj(m) @ m = det(m) I``, and divide exactly: a unimodular
+matrix has the integer inverse ``det(m) adj(m)``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -186,52 +187,13 @@ def lattice_basis_of_rows(rows_in):
     return [row for row in h if any(x != 0 for x in row)]
 
 
-def solve_rational(a, b):
-    """One exact solution of ``a x = b`` over the rationals, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
-    return x
-
-
-def rank_rational(a) -> int:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def adjugate(m):
+    """Adjugate of a square integer matrix: ``adjugate(m) @ m == det(m) I``."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j) * det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]

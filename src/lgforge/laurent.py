@@ -141,8 +141,11 @@ class ParamPoly:
         return {(0,) * rank: value} if value != 0 else {}
 
     def __add__(self, other):
-        if isinstance(other, ParamPoly) and other.rank != self.rank:
-            raise LaurentError("parameter rank mismatch")
+        if isinstance(other, ParamPoly):
+            if other.rank != self.rank:
+                raise LaurentError("parameter rank mismatch")
+        elif isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return _param_value(self.rank, _sum_terms(self.terms, ParamPoly.coerce(self.rank, other)))
 
     __radd__ = __add__
@@ -151,6 +154,8 @@ class ParamPoly:
         return ParamPoly(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return self + (-other if isinstance(other, ParamPoly) else -_norm_scalar(other))
 
     def __rsub__(self, other):
@@ -161,6 +166,8 @@ class ParamPoly:
             if other.rank != self.rank:
                 raise LaurentError("parameter rank mismatch")
             return _param_value(self.rank, _product_terms(self.terms, other.terms, self.rank))
+        if isinstance(other, LaurentPolynomial):
+            return NotImplemented
         other = _norm_scalar(other)
         if other == 0:
             return 0
@@ -204,23 +211,15 @@ class ParamPoly:
         for exp, coeff in self.terms.items():
             factor = Fraction(1)
             new_exp = [0] * new_rank
-            ok = True
             for i, e in enumerate(exp):
-                if i in values:
-                    val = values[i]
-                    if e < 0 and val == 0:
+                if i not in values:
+                    new_exp[index_map[i]] = e
+                elif e:
+                    if e < 0 and values[i] == 0:
                         raise LaurentError(
                             f"parameter a{i + 1} appears with negative exponent; cannot set it to 0"
                         )
-                    if e != 0:
-                        if val == 0:
-                            ok = False
-                            break
-                        factor *= Fraction(val) ** e
-                else:
-                    new_exp[index_map[i]] = e
-            if not ok:
-                continue
+                    factor *= Fraction(values[i]) ** e
             key = tuple(new_exp)
             out[key] = out.get(key, 0) + coeff * factor
         return ParamPoly.of(new_rank, out)

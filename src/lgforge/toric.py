@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, isqrt
 
 from . import geometry, intlinalg
@@ -48,7 +49,7 @@ class FanData:
             if ray in seen:
                 raise ToricError(f"duplicate ray {ray}")
             seen.add(ray)
-        if rays and intlinalg.rank_rational([list(r) for r in rays]) != self.rank:
+        if rays and len(intlinalg.lattice_basis_of_rows(rays)) != self.rank:
             raise ToricError("rays do not span the ambient lattice")
         if not rays and self.rank != 0:
             raise ToricError("a fan with no rays must have rank 0")
@@ -79,9 +80,10 @@ class ClassGroupData:
     ``class_map`` row i is the class of the i-th ray divisor in the chosen
     basis.  ``relation_lattice`` is a basis of {k : sum k_i v_i = 0} and
     equals the transpose of the class projection.  ``section`` row i gives
-    the parameter exponents attached to ray i; its columns are effective
-    divisor representatives of the basis classes, so applying the class
-    projection to the section columns gives the identity matrix.
+    the parameter exponents attached to ray i; its columns are divisor
+    representatives of the basis classes, so applying the class projection
+    to the section columns gives the identity matrix.  They are effective
+    exactly when ``nonnegative_section`` holds.
     """
 
     class_rank: int
@@ -92,54 +94,46 @@ class ClassGroupData:
     nonnegative_section: bool
 
 
-def _section_columns(proj0, l: int, r: int):
-    """Nonnegative integer columns whose classes form a basis of Z^r.
+# r-subsets of candidate divisors tried per pass before class_group gives up
+_SECTION_BUDGET = 200000
 
-    Candidates are ordered by (degree, lex); a depth-first search with rank
-    pruning returns the first unimodular family, so the result is
-    deterministic.  Columns are effective divisors; the family is the
-    divisor section defining the parameter monomials of a pair model.
+
+def _effective_section(proj, l: int, r: int):
+    """Effective divisors whose classes form a basis of Z^r, with the r x r
+    matrix of those classes, or None when no divisor of degree <= 3 gives one.
+
+    Candidates are ordered by (degree, lex) and r-subsets lexicographically.
+    Single rays are tried first: by Gale duality the classes of r rays are a
+    basis exactly when the other rays are a basis of the lattice, so on a
+    smooth fan the rays off any maximal cone qualify.  Divisors of degree 2
+    and 3 join only when no r rays do.  Each pass tries at most
+    ``_SECTION_BUDGET`` subsets and raises ToricError beyond that.
     """
+    candidates = [
+        vector
+        for degree in (1, 2, 3)
+        for vector in sorted(
+            tuple(idx.count(i) for i in range(l))
+            for idx in combinations_with_replacement(range(l), degree)
+        )
+    ]
+    for pool in (candidates[:l], candidates):
+        classes = [[sum(p * c for p, c in zip(row, v)) for row in proj] for v in pool]
+        for count, subset in enumerate(combinations(range(len(pool)), r)):
+            if count == _SECTION_BUDGET:
+                raise ToricError(
+                    f"no divisor section among the first {_SECTION_BUDGET}"
+                    f" choices of {r} candidate divisors"
+                )
+            t = intlinalg.transpose([classes[i] for i in subset])
+            if abs(intlinalg.det(t)) == 1:
+                return [pool[i] for i in subset], t
+    return None
 
-    def vectors_of_degree(total):
-        def build(prefix, remaining, slots):
-            if slots == 1:
-                yield prefix + (remaining,)
-                return
-            for first in range(remaining + 1):
-                yield from build(prefix + (first,), remaining - first, slots - 1)
 
-        yield from build((), total, l)
-
-    candidates = []
-    for degree in (1, 2, 3):
-        candidates.extend(sorted(vectors_of_degree(degree)))
-    classes = {
-        c: [sum(proj0[i][j] * c[j] for j in range(l)) for i in range(r)]
-        for c in candidates
-    }
-    budget = [200000]
-
-    def dfs(start, chosen, chosen_classes):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        if len(chosen) == r:
-            if abs(intlinalg.det(intlinalg.transpose(chosen_classes))) == 1:
-                return list(chosen)
-            return None
-        for idx in range(start, len(candidates)):
-            cand = candidates[idx]
-            cls = classes[cand]
-            stack = chosen_classes + [cls]
-            if intlinalg.rank_rational(stack) != len(stack):
-                continue
-            out = dfs(idx + 1, chosen + [list(cand)], stack)
-            if out is not None:
-                return out
-        return None
-
-    return dfs(0, [], [])
+def _unimodular_inverse(m):
+    d = intlinalg.det(m)  # +-1
+    return [[d * x for x in row] for row in intlinalg.adjugate(m)]
 
 
 def class_group(fan: FanData) -> ClassGroupData:
@@ -162,28 +156,15 @@ def class_group(fan: FanData) -> ClassGroupData:
     r = l - n
     proj = [u[i] for i in range(n, l)]  # r x l: class projection / relation basis
 
-    nonneg_section = True
-    section_cols = _section_columns(proj, l, r) if r else []
-    if section_cols is None:
-        nonneg_section = False
-        # fall back to an arbitrary integral section of the raw projection
-        section_cols = []
-        for j in range(r):
-            target = [1 if i == j else 0 for i in range(r)]
-            x = intlinalg.solve_rational(proj, target)
-            section_cols.append([int(v) for v in x])
+    found = _effective_section(proj, l, r)
+    if found is None:
+        # proj is rows n.. of u, so columns n.. of u^-1 are an integral section
+        u_inv = _unimodular_inverse(u)
+        section_cols = [[row[j] for row in u_inv] for j in range(n, l)]
     else:
-        # rewrite the projection in the basis defined by the section classes
-        t = [
-            [sum(proj[i][j] * section_cols[k][j] for j in range(l)) for k in range(r)]
-            for i in range(r)
-        ]
-        t_inv_cols = [
-            intlinalg.solve_rational(t, [1 if i == j else 0 for i in range(r)])
-            for j in range(r)
-        ]
-        t_inv = [[int(t_inv_cols[j][i]) for j in range(r)] for i in range(r)]
-        proj = intlinalg.mat_mul(t_inv, proj)
+        # rewrite the projection in the basis of the section classes
+        section_cols, t = found
+        proj = intlinalg.mat_mul(_unimodular_inverse(t), proj)
 
     section_rows = [
         tuple(section_cols[j][i] for j in range(r)) for i in range(l)
@@ -196,7 +177,7 @@ def class_group(fan: FanData) -> ClassGroupData:
         relation_lattice=tuple(tuple(row) for row in proj),
         section=tuple(section_rows),
         nonnegative_basis=nonneg,
-        nonnegative_section=nonneg_section,
+        nonnegative_section=found is not None,
     )
 
 
@@ -387,13 +368,15 @@ def fibre_fan(fan: FanData, projection) -> FanData:
         raise ToricError("projection is not surjective onto Z^m")
     kernel = intlinalg.kernel_basis(proj)  # list of n-vectors
     k = len(kernel)
-    kt = intlinalg.transpose(kernel) if kernel else [[] for _ in range(fan.rank)]
+    # a ray in the kernel is kernel^T x with x = adj(gram) kernel ray / det(gram)
+    gram = intlinalg.mat_mul(kernel, intlinalg.transpose(kernel))
+    back = intlinalg.mat_mul(intlinalg.adjugate(gram), kernel)
+    scale = intlinalg.det(gram)
     new_rays = []
     keep_indices = []
     for idx, ray in enumerate(fan.rays):
         if all(sum(proj[i][j] * ray[j] for j in range(fan.rank)) == 0 for i in range(m)):
-            sol = intlinalg.solve_rational(kt, list(ray))
-            new_rays.append(tuple(int(x) for x in sol))
+            new_rays.append(tuple(x // scale for x in intlinalg.mat_vec(back, ray)))
             keep_indices.append(idx)
     if not new_rays and k > 0:
         raise ToricError("fibre fan is empty: no ray maps to zero")

@@ -112,6 +112,18 @@ def test_toric_subcommands(capsys, fan_file):
     assert code == 0
 
 
+def test_toric_qp_without_effective_section_keeps_the_class(capsys, tmp_path):
+    """P(2,3,5) has no effective section; the integral one still carries
+    the curve class of the degree-10 relation (2,3,5)."""
+    path = tmp_path / "p235.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 5], [-1, -3]]}), encoding="utf-8")
+    code, out = run_cli(["toric", "qp", "--fan", str(path), "--n", "10"], capsys)
+    assert code == 0
+    assert out.strip() == "regularized [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2520*a1^-1]"
+    code, _ = run_cli(["toric", "pair", "--fan", str(path)], capsys)
+    assert code == 1
+
+
 def test_degenerate(capsys, tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from lgforge import geometry, intlinalg, load_catalog, wpp_fan_polytope
 from lgforge.geometry import _primitive, convex_hull, vertices_of_inequalities
-from lgforge.intlinalg import solve_rational
+from test_intlinalg import rank_rational_oracle, solve_rational_oracle
 
 
 def in_simplex(p, simplex):
@@ -27,7 +28,7 @@ def in_simplex(p, simplex):
     a = [[Fraction(simplex[j][i]) for j in range(k + 1)] for i in range(n)]
     a.append([Fraction(1)] * (k + 1))
     b = [Fraction(x) for x in p] + [Fraction(1)]
-    sol = solve_rational(a, b)
+    sol = solve_rational_oracle(a, b)
     return sol is not None and all(c >= 0 for c in sol)
 
 
@@ -39,11 +40,8 @@ def is_vertex_oracle(p, points):
         for simplex in combinations(others, size):
             rows = [[q[i] - simplex[0][i] for i in range(n)] for q in simplex[1:]]
             # affine independence keeps barycentric coordinates unique
-            if simplex[1:]:
-                from lgforge.intlinalg import rank_rational
-
-                if rank_rational(rows) != len(rows):
-                    continue
+            if simplex[1:] and rank_rational_oracle(rows) != len(rows):
+                continue
             if in_simplex(p, list(simplex)):
                 return False
     return True
@@ -93,7 +91,7 @@ def exhaustive_hull_oracle(points, dim):
             for a, c in facets
             if sum(ai * pi for ai, pi in zip(a, p)) == c
         ]
-        if tight and intlinalg.rank_rational(tight) == dim:
+        if tight and rank_rational_oracle(tight) == dim:
             vertices.append(p)
     return sorted(facets), vertices
 
@@ -150,6 +148,21 @@ def test_hull_matches_exhaustive_oracle(points):
     assert convex_hull(points) == hull_by_enumeration(points)
 
 
+@settings(deadline=None, max_examples=200)
+@given(hull_inputs())
+def test_hull_system_is_primitive_and_facet_defining(points):
+    """Each pulled-back inequality is primitive, valid, and tight on points
+    spanning at least a facet, also when the points span a sublattice."""
+    hull = convex_hull(points)
+    for a, c in hull.system:
+        assert gcd(*a) == 1
+        values = [sum(x * y for x, y in zip(a, p)) for p in points]
+        assert min(values) == c
+        tight = [p for p, v in zip(points, values) if v == c]
+        rows = [[x - y for x, y in zip(p, tight[0])] for p in tight[1:]]
+        assert (rank_rational_oracle(rows) if rows else 0) >= hull.dim - 1
+
+
 def test_hull_vertices_match_oracle_in_3d():
     """Vertices of random sets in ranks 3 and 4 against simplex membership."""
     rng = random.Random(3131)
@@ -195,6 +208,41 @@ def test_vertices_of_inequalities_empty():
     normals = [(1,), (-1,)]
     rhs = [1, 1]  # x >= 1 and -x >= 1
     assert vertices_of_inequalities(normals, rhs) == []
+
+
+def vertices_by_rational_elimination(normals, rhs):
+    """Basis enumeration with each subsystem solved over the rationals."""
+    m = len(normals)
+    n = len(normals[0]) if m else 0
+    vertices = set()
+    for subset in combinations(range(m), n):
+        a = [normals[i] for i in subset]
+        if rank_rational_oracle(a) != n:
+            continue
+        x = solve_rational_oracle(a, [rhs[i] for i in subset])
+        if all(sum(Fraction(normals[i][j]) * x[j] for j in range(n)) >= rhs[i] for i in range(m)):
+            vertices.add(tuple(x))
+    return sorted(vertices)
+
+
+@st.composite
+def inequality_systems(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 6))
+    normals = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m
+    ))
+    rhs = draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=m, max_size=m
+    ))
+    return normals, rhs
+
+
+@settings(deadline=None, max_examples=200)
+@given(inequality_systems())
+def test_vertices_of_inequalities_match_rational_elimination(system):
+    normals, rhs = system
+    assert vertices_of_inequalities(normals, rhs) == vertices_by_rational_elimination(normals, rhs)
 
 
 # weights of the weighted projective planes in the benchmark's cli mix

@@ -225,6 +225,19 @@ class TestParameters:
         assert g.param_rank == 1
         assert g == parse("1/2*x + a1*y", 2, 1)
 
+    @pytest.mark.parametrize("text", ["a1/a2*x + y", "a2/a1*x + y"])
+    def test_zero_for_an_inverted_parameter_raises_in_any_order(self, text):
+        f = parse(text, 2, 2)
+        with pytest.raises(LaurentError):
+            f.substitute_parameters({0: 0, 1: 0})
+
+    def test_param_poly_defers_to_laurent_operand(self):
+        a = ParamPoly.parameter(1, 0)
+        f = parse("x + a1*y", 2, 1)
+        assert a * f == f * a == parse("a1*x + a1^2*y", 2, 1)
+        assert a + f == f + a == parse("x + a1*y + a1", 2, 1)
+        assert a - f == -(f - a) == parse("-x - a1*y + a1", 2, 1)
+
 
 # -- property tests ------------------------------------------------------------
 

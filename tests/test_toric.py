@@ -14,17 +14,21 @@ from lgforge import (
     class_group,
     fibre_fan,
     hori_vafa,
+    intlinalg,
+    load_catalog,
     markov_mutate,
     markov_solutions_up_to,
     markov_tree,
     parse,
     period_coefficients,
     relation_monoid,
+    toric,
     toric_pair_model,
     toric_quantum_period,
     wpp_fan_polytope,
 )
 from lgforge.toric import ToricError
+from test_intlinalg import rank_rational_oracle, solve_rational_oracle
 
 P1 = FanData(1, ((1,), (-1,)))
 P2 = FanData(2, ((1, 0), (0, 1), (-1, -1)))
@@ -39,6 +43,103 @@ P4 = FanData(
     4,
     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
 )
+# P(2,3,5): no divisor of degree <= 3 has class +-1, so no effective section
+P235 = FanData(2, ((1, 0), (1, 5), (-1, -3)))
+
+
+def section_columns_oracle(proj0, l: int, r: int):
+    """Nonnegative integer columns whose classes form a basis of Z^r.
+
+    Candidates are ordered by (degree, lex); a depth-first search with rank
+    pruning returns the first unimodular family, so the result is
+    deterministic.  Columns are effective divisors; the family is the
+    divisor section defining the parameter monomials of a pair model.
+    """
+
+    def vectors_of_degree(total):
+        def build(prefix, remaining, slots):
+            if slots == 1:
+                yield prefix + (remaining,)
+                return
+            for first in range(remaining + 1):
+                yield from build(prefix + (first,), remaining - first, slots - 1)
+
+        yield from build((), total, l)
+
+    candidates = []
+    for degree in (1, 2, 3):
+        candidates.extend(sorted(vectors_of_degree(degree)))
+    classes = {
+        c: [sum(proj0[i][j] * c[j] for j in range(l)) for i in range(r)]
+        for c in candidates
+    }
+    budget = [200000]
+
+    def dfs(start, chosen, chosen_classes):
+        if budget[0] <= 0:
+            return None
+        budget[0] -= 1
+        if len(chosen) == r:
+            if abs(intlinalg.det(intlinalg.transpose(chosen_classes))) == 1:
+                return list(chosen)
+            return None
+        for idx in range(start, len(candidates)):
+            cand = candidates[idx]
+            cls = classes[cand]
+            stack = chosen_classes + [cls]
+            if rank_rational_oracle(stack) != len(stack):
+                continue
+            out = dfs(idx + 1, chosen + [list(cand)], stack)
+            if out is not None:
+                return out
+        return None
+
+    return dfs(0, [], [])
+
+
+def oracle_section(fan, cg):
+    """Section rows from the search oracle, or None when it finds none.
+    Unimodularity does not depend on the basis of the class group, so the
+    oracle may search in the basis ``class_group`` chose."""
+    cols = section_columns_oracle(cg.relation_lattice, fan.n_rays, cg.class_rank)
+    if cols is None:
+        return None
+    return tuple(tuple(col[i] for col in cols) for i in range(fan.n_rays))
+
+
+def random_smooth_fan(rng, rank):
+    """A smooth complete fan: P^rank or P^1 x P^(rank-1), star-subdivided at
+    random faces of maximal cones, moved by a random unimodular map, with
+    its rays in random order."""
+    if rank > 1 and rng.random() < 0.5:
+        first = [1] + [0] * (rank - 1)
+        rays = [first, [-x for x in first]]
+        rest = [[0] + [int(i == j) for j in range(rank - 1)] for i in range(rank - 1)]
+        rays += rest + [[0] + [-1] * (rank - 1)]
+        cones = [
+            {s} | {2 + j for j in range(rank) if j != skip}
+            for s in (0, 1) for skip in range(rank)
+        ]
+    else:
+        rays = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        rays.append([-1] * rank)
+        cones = [set(range(rank + 1)) - {skip} for skip in range(rank + 1)]
+    for _ in range(rng.randint(0, 3)):
+        cone = sorted(rng.choice(cones))
+        face = set(rng.sample(cone, rng.randint(2, rank)))
+        rays.append([sum(rays[i][c] for i in face) for c in range(rank)])
+        new = len(rays) - 1
+        cones = [c for c in cones if not face <= c] + [
+            (c - {f}) | {new} for c in cones if face <= c for f in face
+        ]
+    g = intlinalg.identity_matrix(rank)
+    for _ in range(4 if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        sign = rng.choice((-1, 1))
+        g[i] = [x + sign * y for x, y in zip(g[i], g[j])]
+    rays = [tuple(intlinalg.mat_vec(g, ray)) for ray in rays]
+    rng.shuffle(rays)
+    return FanData(rank, tuple(rays))
 
 
 class TestFanData:
@@ -87,7 +188,7 @@ class TestClassGroup:
                 assert all(x == 0 for x in image)
 
     def test_section_inverts_class_map(self):
-        for fan in (P2, P3, P1xP1, BL2_P3, P1xP2):
+        for fan in (P2, P3, P1xP1, BL2_P3, P1xP2, P235):
             cg = class_group(fan)
             r = cg.class_rank
             for j in range(r):
@@ -96,6 +197,59 @@ class TestClassGroup:
                     for k in range(r)
                 ]
                 assert combo == [1 if k == j else 0 for k in range(r)]
+
+    def test_no_effective_section_falls_back_to_an_integral_one(self):
+        cg = class_group(P235)
+        assert not cg.nonnegative_section
+        assert sorted(abs(c) for (c,) in cg.class_map) == [2, 3, 5]
+        with pytest.raises(ToricError):
+            toric_pair_model(P235, cg)
+
+    def test_section_search_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(toric, "_SECTION_BUDGET", 2)
+        with pytest.raises(ToricError):
+            class_group(P235)
+
+    def test_section_matches_search_oracle_on_catalog_fans(self):
+        fans = {
+            tuple(tuple(r) for r in check.payload["rays"])
+            for entry in load_catalog()
+            for check in entry.checks
+            if "rays" in check.payload
+        }
+        assert len(fans) >= 10
+        for rays in sorted(fans):
+            fan = FanData(len(rays[0]), rays)
+            cg = class_group(fan)
+            assert cg.nonnegative_section
+            assert cg.section == oracle_section(fan, cg), rays
+
+    def test_section_matches_search_oracle_on_random_smooth_fans(self):
+        """Where the search oracle picks single rays, class_group picks the
+        same ones; on a smooth fan class_group always picks single rays."""
+        rng = random.Random(6060)
+        compared = 0
+        for index in range(60):
+            fan = random_smooth_fan(rng, 2 + index % 3)
+            cg = class_group(fan)
+            assert cg.nonnegative_section
+            assert all(sum(col) == 1 for col in zip(*cg.section))
+            expected = oracle_section(fan, cg)
+            if expected is not None and all(sum(col) == 1 for col in zip(*expected)):
+                assert cg.section == expected, fan.rays
+                compared += 1
+        assert compared >= 40
+
+    def test_single_rays_come_before_mixed_degrees(self):
+        """On this non-smooth ray set the search oracle's lex-first section
+        takes the divisor D_0 + D_1, although three single rays also give a
+        basis; class_group takes the rays."""
+        fan = FanData(2, ((-3, -2), (-2, -3), (-2, 3), (-1, -2), (1, 1)))
+        cg = class_group(fan)
+        assert cg.section == ((0, 0, 1), (0, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0))
+        assert oracle_section(fan, cg) == (
+            (0, 0, 1), (0, 0, 1), (0, 0, 0), (0, 1, 0), (1, 0, 0)
+        )
 
     def test_surjective(self):
         from lgforge.intlinalg import smith_normal_form
@@ -282,6 +436,39 @@ class TestFibreFan:
     def test_non_surjective_rejected(self):
         with pytest.raises(ToricError):
             fibre_fan(P2, [[2, 0]])
+
+    def test_coordinates_match_rational_elimination(self):
+        """Fibre rays are the coordinates of the killed rays in the kernel
+        basis, as rational elimination finds them."""
+        rng = random.Random(7070)
+        for index in range(40):
+            rank = 2 + index % 2
+            fan = random_smooth_fan(rng, rank)
+            ray = rng.choice(fan.rays)
+            if rank == 2:
+                w = [ray[1], -ray[0]]
+            else:
+                z = [rng.randint(-2, 2) for _ in range(3)]
+                w = [
+                    ray[(i + 1) % 3] * z[(i + 2) % 3] - ray[(i + 2) % 3] * z[(i + 1) % 3]
+                    for i in range(3)
+                ]
+                if not any(w):
+                    continue
+                g = gcd(*w)
+                w = [x // g for x in w]
+            kernel_t = intlinalg.transpose(intlinalg.kernel_basis([w]))
+            expected = [
+                tuple(int(x) for x in solve_rational_oracle(kernel_t, list(v)))
+                for v in fan.rays
+                if sum(a * b for a, b in zip(w, v)) == 0
+            ]
+            try:
+                sub = fibre_fan(fan, [w])
+            except ToricError:
+                assert rank_rational_oracle(expected) < rank - 1
+                continue
+            assert list(sub.rays) == expected
 
     def test_partition_of_rays(self):
         proj = [[1, 0, 0]]
