@@ -26,12 +26,22 @@ class CliError(Exception):
     pass
 
 
+class UsageError(Exception):
+    """A malformed argument value or input file (exit status 2)."""
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    return [Fraction(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [Fraction(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise UsageError(f"expected comma-separated rationals, got {text!r}") from None
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -47,7 +57,13 @@ def _at_least_one(text: str) -> int:
 
 def _load_fan(path: str) -> toric.FanData:
     with open(path, encoding="utf-8") as fh:
-        return toric.FanData.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return toric.FanData.from_json(data)
+    except KeyError as err:
+        raise UsageError(f"{path}: a fan needs the key {err}") from None
+    except (TypeError, ValueError, toric.ToricError) as err:
+        raise UsageError(f"{path}: not a fan: {err}") from None
 
 
 def _param_index(name: str) -> int:
@@ -485,6 +501,7 @@ def main(argv=None) -> int:
     except (
         catalog_mod.CatalogError,
         mutation.ChainFormatError,
+        UsageError,
         OSError,
         json.JSONDecodeError,
     ) as err:

@@ -6,14 +6,20 @@ sum k_i v_i = 0) drives two independent computations: the parametrized
 ray-sum model whose period is obtained by polynomial powering, and the
 closed multinomial formula evaluated directly over the monoid.  Their
 agreement is the central cross-check of this module.
+
+The monoid is enumerated in the class lattice: a relation is k = c K for a
+saturated basis K of the relations, so the search runs over curve classes
+c in Z^r (r = number of rays - rank), as Givental's sum over classes beta
+does, and not over ray space Z^l.  Its slices are graded by total degree
+for the toric oracle and by the S_0 subtotal for complete intersections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial, gcd, isqrt
+from itertools import combinations, combinations_with_replacement, product
+from math import ceil, factorial, floor, gcd, isqrt, lcm, prod
 
 from . import geometry, intlinalg
 from .laurent import LaurentError, LaurentPolynomial, NewtonPolytopeData, ParamPoly
@@ -22,6 +28,10 @@ from .period import REGULARIZED, PeriodSeries
 
 class ToricError(LaurentError):
     pass
+
+
+class GradingError(ToricError):
+    """A grading that is not positive on some nonzero relation."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,9 @@ class FanData:
             raise ToricError("rays do not span the ambient lattice")
         if not rays and self.rank != 0:
             raise ToricError("a fan with no rays must have rank 0")
+        for cone in self.cones or ():
+            if any(not 0 <= i < len(rays) for i in cone):
+                raise ToricError(f"cone {cone} indexes a ray outside 0..{len(rays) - 1}")
 
     @property
     def n_rays(self) -> int:
@@ -96,6 +109,8 @@ class ClassGroupData:
 
 # r-subsets of candidate divisors tried per pass before class_group gives up
 _SECTION_BUDGET = 200000
+# classes in the box of a relation-monoid slice before relation_monoid gives up
+_MONOID_BUDGET = 1000000
 
 
 def _effective_section(proj, l: int, r: int):
@@ -187,53 +202,52 @@ class RelationMonoidSlice:
     tuples: tuple[tuple[int, ...], ...]
 
 
-def relation_monoid(fan: FanData, bound: int, s0_indices=None, s0_bound=None) -> RelationMonoidSlice:
-    """All k in Z_{>=0}^l with sum k_i v_i = 0 and sum k_i <= bound.
+def relation_monoid(fan: FanData, bound: int, grading=None) -> RelationMonoidSlice:
+    """All k in Z_{>=0}^l with sum k_i v_i = 0 and sum grading_i k_i <= bound.
 
-    Depth-first with per-coordinate partial-sum pruning.  When
-    ``s0_indices`` is given, ``s0_bound`` additionally caps the subtotal
-    over that index set (used by the complete-intersection oracle).
+    The grading defaults to all ones.  Each k is c K for the saturated r x l
+    relation basis K, with c in Z^r.  The extreme rays of c K >= 0, scaled to
+    degree ``bound``, and 0 span the slice: its box bounds c_1..c_{r-1}, and
+    c_r runs over an exact integer interval.  A ray of degree <= 0 raises
+    GradingError; a box past ``_MONOID_BUDGET`` classes raises ToricError.
     """
     if bound < 0:
         raise ToricError("degree bound must be nonnegative")
-    l, n = fan.n_rays, fan.rank
-    rays = fan.rays
-    s0 = frozenset(s0_indices) if s0_indices is not None else None
-    # suffix coordinate ranges for pruning
-    lo = [[0] * n for _ in range(l + 1)]
-    hi = [[0] * n for _ in range(l + 1)]
-    for i in range(l - 1, -1, -1):
-        for c in range(n):
-            lo[i][c] = min(lo[i + 1][c], rays[i][c])
-            hi[i][c] = max(hi[i + 1][c], rays[i][c])
+    l = fan.n_rays
+    grading = [1] * l if grading is None else grading
+    basis = intlinalg.kernel_basis(intlinalg.transpose(fan.rays))
+    if not basis:
+        return RelationMonoidSlice(degree_bound=bound, tuples=((0,) * l,))
+    columns = intlinalg.transpose(basis)  # k_i = <columns[i], c>
+    totals = [sum(row) for row in basis]
+    degree = intlinalg.mat_vec(basis, grading)
+    corners = [[0] * len(basis)]
+    for ray in geometry.vertices_of_inequalities(
+        columns + [totals, [-t for t in totals]], [0] * l + [1, -1]
+    ):
+        d = sum(x * y for x, y in zip(degree, ray))
+        if d <= 0:
+            k = intlinalg.mat_vec(columns, ray)
+            scale = lcm(*(x.denominator for x in k))
+            witness = tuple(int(x * scale) for x in k)
+            raise GradingError(f"relation {witness} has degree {d * scale}")
+        corners.append([bound * x / d for x in ray])
+    box = [range(ceil(min(xs)), floor(max(xs)) + 1) for xs in zip(*corners)]
+    volume = prod(map(len, box))
+    if volume > _MONOID_BUDGET:
+        raise ToricError(f"monoid box of {volume} classes exceeds the budget {_MONOID_BUDGET}")
+    *head, last = basis
     found = []
-    current = [0] * l
-
-    def dfs(i, total, s0_total, partial):
-        if s0 is not None and s0_bound is not None and s0_total > s0_bound:
-            return
-        budget = bound - total
-        for c in range(n):
-            if partial[c] + budget * lo[i][c] > 0 or partial[c] + budget * hi[i][c] < 0:
-                return
-        if i == l:
-            if all(x == 0 for x in partial):
-                found.append(tuple(current))
-            return
-        ray = rays[i]
-        k = 0
-        while total + k <= bound:
-            current[i] = k
-            dfs(
-                i + 1,
-                total + k,
-                s0_total + (k if s0 is not None and i in s0 else 0),
-                [partial[c] + k * ray[c] for c in range(n)],
-            )
-            k += 1
-        current[i] = 0
-
-    dfs(0, 0, 0, [0] * n)
+    for c in product(*box[:-1]):
+        partial = [sum(x * row[i] for x, row in zip(c, head)) for i in range(l)]
+        # c_r = t needs t * a >= b for each k_i >= 0, then for degree <= bound
+        offsets = [-p for p in partial] + [sum(g * p for g, p in zip(grading, partial)) - bound]
+        pairs = list(zip(last + [-degree[-1]], offsets))
+        if any(a == 0 and b > 0 for a, b in pairs):
+            continue
+        lo = max([box[-1].start] + [-(-b // a) for a, b in pairs if a > 0])
+        hi = min([box[-1].stop - 1] + [b // a for a, b in pairs if a < 0])
+        found.extend(tuple(p + t * x for p, x in zip(partial, last)) for t in range(lo, hi + 1))
     return RelationMonoidSlice(degree_bound=bound, tuples=tuple(sorted(found)))
 
 
@@ -329,13 +343,10 @@ def ci_quantum_period(
         raise ToricError("order must be nonnegative")
     partition.validate(fan.n_rays)
     s0 = partition.blocks[0]
-    # A tuple with S_0 subtotal 0 would make the slice infinite (S_0 not ample).
-    probe = relation_monoid(fan, 2 * fan.n_rays)
-    for k in probe.tuples:
-        if any(k) and sum(k[i] for i in s0) == 0:
-            raise ToricError("S_0 block is not ample: relation with zero S_0 degree")
-    total_bound = order * fan.n_rays
-    slice_ = relation_monoid(fan, total_bound, s0_indices=s0, s0_bound=order)
+    try:
+        slice_ = relation_monoid(fan, order, [int(i in s0) for i in range(fan.n_rays)])
+    except GradingError as err:
+        raise ToricError(f"S_0 block is not ample: {err}") from None
     return _class_series(
         fan,
         cg,

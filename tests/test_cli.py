@@ -1,6 +1,7 @@
 """Command-line interface: examples, determinism, JSON schema."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -122,6 +123,75 @@ def test_toric_qp_without_effective_section_keeps_the_class(capsys, tmp_path):
     assert out.strip() == "regularized [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2520*a1^-1]"
     code, _ = run_cli(["toric", "pair", "--fan", str(path)], capsys)
     assert code == 1
+
+
+def test_toric_ci_fills_every_degree_on_a_weighted_ambient(capsys, tmp_path):
+    """The sextic in P(1,1,1,1,3): degree-d relations reach a total of 7d."""
+    path = tmp_path / "p11113.json"
+    rays = [[-1, -1, -1, -3], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    path.write_text(json.dumps({"rank": 4, "rays": rays}), encoding="utf-8")
+    code, out = run_cli(
+        ["toric", "ci", "--fan", str(path), "--part", "0;1,2,3,4", "--n", "8"], capsys
+    )
+    assert code == 0
+    assert out.strip() == (
+        "regularized [1, 120*a1, 83160*a1^2, 81681600*a1^3, 93699005400*a1^4,"
+        " 117386113965120*a1^5, 155667030019300800*a1^6,"
+        " 214804163196079142400*a1^7, 305240072216678400087000*a1^8]"
+    )
+
+
+def test_toric_ci_non_ample_s0_is_computation_error(capsys, tmp_path):
+    path = tmp_path / "p1p1.json"
+    path.write_text(
+        json.dumps({"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]]}), encoding="utf-8"
+    )
+    code = main(["toric", "ci", "--fan", str(path), "--part", "0,2;1,3", "--n", "4"])
+    assert code == 1
+    assert "S_0 block is not ample" in capsys.readouterr().err
+
+
+def test_toric_qp_past_the_monoid_budget_fails_fast(fan_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgforge.cli", "toric", "qp", "--fan", fan_file,
+         "--n", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 1
+    assert "exceeds the budget" in proc.stderr
+
+
+P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
+
+
+@pytest.mark.parametrize(
+    "fan, args",
+    [
+        ({"rays": P2_FAN["rays"]}, ["qp", "--n", "3"]),
+        ([[1, 0], [0, 1], [-1, -1]], ["hv"]),
+        ({**P2_FAN, "cones": [[0, 1], [1, 3]]}, ["qp", "--n", "3"]),
+        ({"rank": 2, "rays": 5}, ["hv"]),
+        ({"rank": 2, "rays": [[2, 0], [0, 1], [-1, -1]]}, ["hv"]),
+        (P2_FAN, ["ci", "--part", "x;y", "--n", "3"]),
+    ],
+    ids=[
+        "no-rank",
+        "top-level-list",
+        "cone-index-out-of-range",
+        "rays-not-a-list",
+        "ray-not-primitive",
+        "part-not-integers",
+    ],
+)
+def test_malformed_toric_input_is_usage_error(capsys, tmp_path, fan, args):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    code = main(["toric", args[0], "--fan", str(path), *args[1:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_degenerate(capsys, tmp_path):

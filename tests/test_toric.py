@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lgforge import (
     FanData,
@@ -27,7 +30,7 @@ from lgforge import (
     toric_quantum_period,
     wpp_fan_polytope,
 )
-from lgforge.toric import ToricError
+from lgforge.toric import GradingError, RelationMonoidSlice, ToricError
 from test_intlinalg import rank_rational_oracle, solve_rational_oracle
 
 P1 = FanData(1, ((1,), (-1,)))
@@ -45,6 +48,13 @@ P4 = FanData(
 )
 # P(2,3,5): no divisor of degree <= 3 has class +-1, so no effective section
 P235 = FanData(2, ((1, 0), (1, 5), (-1, -3)))
+# P(1,1,1,1,3), the ambient of the sextic threefold V2
+P11113 = FanData(
+    4,
+    ((-1, -1, -1, -3), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+)
+# P^2/mu_3: the rays span an index-3 sublattice, so the class group has torsion
+TORSION_FAN = FanData(2, ((-1, -1), (2, -1), (-1, 2)))
 
 
 def section_columns_oracle(proj0, l: int, r: int):
@@ -105,6 +115,84 @@ def oracle_section(fan, cg):
     if cols is None:
         return None
     return tuple(tuple(col[i] for col in cols) for i in range(fan.n_rays))
+
+
+# The ray-space search that relation_monoid replaced, kept as its reference.
+def relation_monoid_dfs_oracle(fan: FanData, bound: int, s0_indices=None, s0_bound=None) -> RelationMonoidSlice:
+    """All k in Z_{>=0}^l with sum k_i v_i = 0 and sum k_i <= bound.
+
+    Depth-first with per-coordinate partial-sum pruning.  When
+    ``s0_indices`` is given, ``s0_bound`` additionally caps the subtotal
+    over that index set (used by the complete-intersection oracle).
+    """
+    if bound < 0:
+        raise ToricError("degree bound must be nonnegative")
+    l, n = fan.n_rays, fan.rank
+    rays = fan.rays
+    s0 = frozenset(s0_indices) if s0_indices is not None else None
+    # suffix coordinate ranges for pruning
+    lo = [[0] * n for _ in range(l + 1)]
+    hi = [[0] * n for _ in range(l + 1)]
+    for i in range(l - 1, -1, -1):
+        for c in range(n):
+            lo[i][c] = min(lo[i + 1][c], rays[i][c])
+            hi[i][c] = max(hi[i + 1][c], rays[i][c])
+    found = []
+    current = [0] * l
+
+    def dfs(i, total, s0_total, partial):
+        if s0 is not None and s0_bound is not None and s0_total > s0_bound:
+            return
+        budget = bound - total
+        for c in range(n):
+            if partial[c] + budget * lo[i][c] > 0 or partial[c] + budget * hi[i][c] < 0:
+                return
+        if i == l:
+            if all(x == 0 for x in partial):
+                found.append(tuple(current))
+            return
+        ray = rays[i]
+        k = 0
+        while total + k <= bound:
+            current[i] = k
+            dfs(
+                i + 1,
+                total + k,
+                s0_total + (k if s0 is not None and i in s0 else 0),
+                [partial[c] + k * ray[c] for c in range(n)],
+            )
+            k += 1
+        current[i] = 0
+
+    dfs(0, 0, 0, [0] * n)
+    return RelationMonoidSlice(degree_bound=bound, tuples=tuple(sorted(found)))
+
+
+def weighted_projective_fan(weights):
+    """Fan of P(weights): the images of the unit vectors in Z^(n+1) / Z*weights."""
+    u, _, _ = intlinalg.smith_normal_form([[w] for w in weights])
+    n = len(weights) - 1
+    return FanData(n, tuple(tuple(u[i][j] for i in range(1, n + 1)) for j in range(n + 1)))
+
+
+def well_formed(weights):
+    return all(
+        gcd(*(w for j, w in enumerate(weights) if j != i)) == 1 for i in range(len(weights))
+    )
+
+
+def certified_total_per_s0_degree(fan, s0):
+    """Smallest lam found with lam*[i in s0] + <y, v_i> >= 1 for every ray and
+    some y in {-2, ..., 2}^n, or None.  For a relation k >= 0 it gives
+    sum k <= sum k_i (lam*[i in s0] + <y, v_i>) = lam * (S_0 subtotal of k)."""
+    best = None
+    for y in iproduct(range(-2, 3), repeat=fan.rank):
+        dots = [sum(a * b for a, b in zip(y, ray)) for ray in fan.rays]
+        if any(d < 1 for i, d in enumerate(dots) if i not in s0):
+            continue
+        lam = max(1 - d for i, d in enumerate(dots) if i in s0)
+        best = lam if best is None else min(best, lam)
+    return best
 
 
 def random_smooth_fan(rng, rank):
@@ -262,6 +350,14 @@ class TestClassGroup:
             assert all(abs(d[i][i]) == 1 for i in range(cg.class_rank))
 
 
+SMOOTH_FANS = st.builds(
+    lambda seed, rank: random_smooth_fan(random.Random(seed), rank),
+    st.integers(0, 2 ** 32),
+    st.integers(2, 4),
+)
+WEIGHTS = st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(well_formed)
+
+
 class TestRelationMonoid:
     def test_p2_degree_six(self):
         slice_ = relation_monoid(P2, 6)
@@ -297,6 +393,47 @@ class TestRelationMonoid:
                 )
             }
             assert set(relation_monoid(fan, bound).tuples) == naive
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(SMOOTH_FANS, WEIGHTS.map(weighted_projective_fan), st.just(TORSION_FAN)),
+           st.integers(0, 6))
+    def test_matches_dfs_oracle(self, fan, bound):
+        assert relation_monoid(fan, bound) == relation_monoid_dfs_oracle(fan, bound)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.one_of(WEIGHTS.map(lambda w: (weighted_projective_fan(w), w)),
+                  st.just((TORSION_FAN, (1, 1, 1)))),
+        st.data(),
+    )
+    def test_s0_grading_matches_dfs_oracle(self, fan_and_weights, data):
+        """Every relation of these fans is t*w with t >= 0, so an S_0
+        subtotal of at most ``order`` caps the total at order * sum(w)."""
+        fan, weights = fan_and_weights
+        s0 = data.draw(st.sets(st.integers(0, fan.n_rays - 1), min_size=1))
+        order = data.draw(st.integers(0, 4))
+        grading = [int(i in s0) for i in range(fan.n_rays)]
+        oracle = relation_monoid_dfs_oracle(fan, order * sum(weights), s0, order)
+        assert relation_monoid(fan, order, grading).tuples == oracle.tuples
+
+    @settings(deadline=None, max_examples=80)
+    @given(SMOOTH_FANS, st.data())
+    def test_s0_grading_on_smooth_fans_matches_dfs_oracle(self, fan, data):
+        s0 = data.draw(st.sets(st.integers(0, fan.n_rays - 1), min_size=1))
+        order = data.draw(st.integers(0, 4))
+        lam = certified_total_per_s0_degree(fan, s0)
+        assume(lam is not None)
+        grading = [int(i in s0) for i in range(fan.n_rays)]
+        oracle = relation_monoid_dfs_oracle(fan, lam * order, s0, order)
+        assert relation_monoid(fan, order, grading).tuples == oracle.tuples
+
+    def test_grading_zero_on_a_relation_raises(self):
+        with pytest.raises(GradingError, match=r"relation \(0, 1, 0, 1\) has degree 0"):
+            relation_monoid(P1xP1, 3, [1, 0, 1, 0])
+
+    def test_box_past_the_budget_raises_before_enumerating(self):
+        with pytest.raises(ToricError, match="exceeds the budget"):
+            relation_monoid(P2, 10 ** 8)
 
 
 class TestModels:
@@ -384,6 +521,31 @@ class TestCompleteIntersection:
             )
             acc.append(lhs == rhs)
         assert all(acc)
+
+    def test_weighted_sextic_matches_v2_model(self):
+        """V2 is the sextic in P(1,1,1,1,3): S_0 is the weight-3 ray, and the
+        degree-d relations reach a total of 7d, beyond d * (number of rays)."""
+        cg = class_group(P11113)
+        series = ci_quantum_period(P11113, cg, NefPartition(((0,), (1, 2, 3, 4))), 8)
+        at_one = [
+            c if isinstance(c, int) else c.substitute({0: Fraction(1)}, 0, {})
+            for c in series.coefficients
+        ]
+        (v2,) = [e for e in load_catalog() if e.id == "V2"]
+        assert at_one == list(period_coefficients(parse(v2.model, 3), 8).coefficients)
+        assert at_one[6] == 155667030019300800
+
+    @pytest.mark.parametrize(
+        "fan, blocks",
+        [
+            (P1xP1, ((0, 2), (1, 3))),
+            # the relation (1, 1, 7, 0) misses S_0, and no smaller one does
+            (FanData(2, ((-1, -7), (1, 0), (0, 1), (0, -1))), ((3,), (0, 1, 2))),
+        ],
+    )
+    def test_non_ample_s0_rejected(self, fan, blocks):
+        with pytest.raises(ToricError, match="S_0 block is not ample"):
+            ci_quantum_period(fan, class_group(fan), NefPartition(blocks), 4)
 
     def test_empty_ample_block_rejected(self):
         with pytest.raises(ToricError):
