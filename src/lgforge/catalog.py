@@ -26,6 +26,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from itertools import repeat
@@ -34,6 +35,7 @@ from pathlib import Path
 from . import degeneration, mutation, period, toric
 from .laurent import LaurentError, LaurentPolynomial
 from .parsing import parse
+from .toric import _is_int
 
 DEFAULT_ORDER = 10
 
@@ -85,12 +87,16 @@ class CatalogEntry:
     def param_rank(self) -> int:
         return len(self.params)
 
+    @cached_property
     def parse_model(self) -> LaurentPolynomial | None:
+        """The parsed model, computed once and shared by every check."""
         if self.model is None:
             return None
         return parse(self.model, self.rank, self.param_rank)
 
+    @cached_property
     def parse_param_model(self) -> LaurentPolynomial | None:
+        """The parsed param_model, computed once and shared by every check."""
         if self.param_model is None:
             return None
         return parse(self.param_model, self.rank, self.param_rank)
@@ -145,10 +151,6 @@ def _check_from_json(index: int, raw) -> Check:
     return Check(kind, payload)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_rational(x) -> bool:
     if isinstance(x, str):
         try:
@@ -200,13 +202,13 @@ def _entry_from_json(raw: dict) -> CatalogEntry:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CatalogError(f"entry {raw.get('id', '?')!r}: {err}") from err
-    # the declared polynomials must parse at the declared ranks
-    for label, text in (("model", entry.model), ("param_model", entry.param_model)):
-        if text is not None:
-            try:
-                parse(text, entry.rank, entry.param_rank)
-            except LaurentError as err:
-                raise CatalogError(f"entry {entry.id!r}: {label} does not parse: {err}") from err
+    # the declared polynomials must parse at the declared ranks; the parsed
+    # values stay cached on the entry for its checks
+    for label in ("model", "param_model"):
+        try:
+            getattr(entry, "parse_" + label)
+        except LaurentError as err:
+            raise CatalogError(f"entry {entry.id!r}: {label} does not parse: {err}") from err
     for index, check in enumerate(entry.checks):
         if check.kind == "period_match" and entry.model is None and "source" not in check.payload:
             raise CatalogError(
@@ -246,7 +248,7 @@ class _Resolver:
         entry = self.by_id.get(entry_id)
         if entry is None:
             raise CatalogError(f"unknown target entry {entry_id!r}")
-        model = entry.parse_model()
+        model = entry.parse_model
         if model is None:
             raise CatalogError(f"entry {entry_id!r} has no model polynomial")
         return _strip_params(model)
@@ -255,9 +257,11 @@ class _Resolver:
         """An expression spec: a string, or {"param_model_at": {...}}."""
         rank = entry.rank if rank is None else rank
         if isinstance(spec, str):
+            if spec == entry.model and rank == entry.rank:
+                return _drop_unused_params(entry.parse_model)
             return _drop_unused_params(parse(spec, rank, entry.param_rank))
         if isinstance(spec, dict) and "param_model_at" in spec:
-            f = entry.parse_param_model()
+            f = entry.parse_param_model
             if f is None:
                 raise CatalogError(f"entry {entry.id!r} has no param_model")
             assign = {
@@ -308,7 +312,7 @@ def _run_period_match(entry, check, resolver, order) -> CheckReport:
     source = (
         resolver.expr(entry, source_spec)
         if source_spec is not None
-        else entry.parse_model()
+        else entry.parse_model
     )
     source = _strip_params(source)
     if "target_id" in check.payload:
@@ -360,7 +364,7 @@ def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
-    f = entry.parse_param_model()
+    f = entry.parse_param_model
     if f is None:
         raise CatalogError(f"entry {entry.id!r} has no param_model")
     payload = check.payload
@@ -440,7 +444,7 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
     detail = f"oracle agreement to order {n}"
     if check.payload.get("match_model", False):
         specialized = _strip_params(model)
-        target = _strip_params(entry.parse_model())
+        target = _strip_params(entry.parse_model)
         if specialized != target:
             return CheckReport(
                 "toric_oracle",

@@ -9,7 +9,9 @@ Variables are ``x,y,z,w`` (rank <= 4) or ``x1..xn``; parameters are
 ``a1..ar`` (plain ``a`` is accepted when r = 1).  Implicit multiplication
 is not allowed.  Rational sub-expressions are accepted only when, after
 full expansion, every denominator is a single monomial; parsing then
-yields the expanded canonical Laurent polynomial.
+yields the expanded canonical Laurent polynomial.  A power of a base with
+several terms is refused when it could expand past ``_POWER_BUDGET``
+terms; a power of a monomial is not limited.
 """
 
 from __future__ import annotations
@@ -47,25 +49,55 @@ def _tokenize(text: str):
     return tokens
 
 
+# most terms that a power of a base with several terms may expand to
+_POWER_BUDGET = 2000
+
+
+def _power(base: LaurentPolynomial, e: int) -> LaurentPolynomial:
+    """base ** e for e >= 0, or ExpressionError when C(e+t-1, t-1), the most
+    terms the power of a t-term base can have, exceeds ``_POWER_BUDGET``.
+    It is built as C(e+i, i) for i = 1..t-1, which only grows with i, so the
+    check stops at the first value over budget."""
+    bound = 1
+    for i in range(1, len(base.terms)):
+        bound = bound * (e + i) // i
+        if bound > _POWER_BUDGET:
+            raise ExpressionError(
+                f"a {len(base.terms)}-term base to the power {e} may expand to"
+                f" more than {_POWER_BUDGET} terms"
+            )
+    return base ** e
+
+
 @dataclass
 class _Rat:
-    """Rational function num/den with den kept a monomial whenever possible."""
+    """The rational function num/den.  ``den`` is None when the value is the
+    Laurent polynomial ``num``, so sums, products, powers and quotients by a
+    monomial are one Laurent operation each.  After a division by an
+    expression of several terms, ``den`` holds that many-term denominator,
+    unreduced, and num/den arithmetic runs until a denominator of one term
+    folds back into ``num``."""
 
     num: LaurentPolynomial
-    den: LaurentPolynomial
+    den: LaurentPolynomial | None = None
 
-    def _simplify(self) -> "_Rat":
-        if len(self.den.terms) == 1:
-            q = self.num * (self.den ** -1)
-            return _Rat(q, LaurentPolynomial.one(q.rank, q.param_rank))
-        return self
+    def _den(self) -> LaurentPolynomial:
+        if self.den is None:
+            return LaurentPolynomial.one(self.num.rank, self.num.param_rank)
+        return self.den
+
+    @staticmethod
+    def _fraction(num: LaurentPolynomial, den: LaurentPolynomial) -> "_Rat":
+        if len(den.terms) == 1:
+            return _Rat(num * den ** -1)
+        return _Rat(num, den)
 
     def __add__(self, other: "_Rat") -> "_Rat":
         if self.den == other.den:
-            return _Rat(self.num + other.num, self.den)._simplify()
-        return _Rat(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )._simplify()
+            return _Rat(self.num + other.num, self.den)
+        return _Rat._fraction(
+            self.num * other._den() + other.num * self._den(), self._den() * other._den()
+        )
 
     def __neg__(self) -> "_Rat":
         return _Rat(-self.num, self.den)
@@ -74,19 +106,27 @@ class _Rat:
         return self + (-other)
 
     def __mul__(self, other: "_Rat") -> "_Rat":
-        return _Rat(self.num * other.num, self.den * other.den)._simplify()
+        if self.den is None and other.den is None:
+            return _Rat(self.num * other.num)
+        return _Rat._fraction(self.num * other.num, self._den() * other._den())
 
     def __truediv__(self, other: "_Rat") -> "_Rat":
         if other.num.is_zero:
             raise ExpressionError("division by zero")
-        return _Rat(self.num * other.den, self.den * other.num)._simplify()
+        if self.den is None and other.den is None and len(other.num.terms) == 1:
+            return _Rat(self.num * other.num ** -1)
+        return _Rat._fraction(self.num * other._den(), self._den() * other.num)
 
     def __pow__(self, e: int) -> "_Rat":
         if e >= 0:
-            return _Rat(self.num ** e, self.den ** e)._simplify()
+            if self.den is None:
+                return _Rat(_power(self.num, e))
+            return _Rat._fraction(_power(self.num, e), _power(self.den, e))
         if self.num.is_zero:
             raise ExpressionError("division by zero")
-        return _Rat(self.den ** -e, self.num ** -e)._simplify()
+        if self.den is None and len(self.num.terms) == 1:
+            return _Rat(self.num ** e)
+        return _Rat._fraction(_power(self._den(), -e), _power(self.num, -e))
 
 
 class _Parser:
@@ -115,8 +155,7 @@ class _Parser:
         kind, _ = self.peek()
         if kind != "end":
             raise ExpressionError(f"trailing input in {self.text!r}")
-        value = value._simplify()
-        if len(value.den.terms) != 1:
+        if value.den is not None:
             raise ExpressionError(
                 "denominator does not expand to a single monomial: "
                 f"{value.den.render()}"
@@ -170,11 +209,10 @@ class _Parser:
 
     def base(self) -> _Rat:
         kind, value = self.advance()
-        one = LaurentPolynomial.one(self.rank, self.param_rank)
         if kind == "int":
-            return _Rat(LaurentPolynomial.constant(value, self.rank, self.param_rank), one)
+            return _Rat(LaurentPolynomial.constant(value, self.rank, self.param_rank))
         if kind == "name":
-            return _Rat(self.named(value), one)
+            return _Rat(self.named(value))
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -30,6 +30,10 @@ class ToricError(LaurentError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GradingError(ToricError):
     """A grading that is not positive on some nonzero relation."""
 
@@ -41,12 +45,19 @@ class FanData:
     cones: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in ray) for ray in self.rays)
+        if not _is_int(self.rank):
+            raise ToricError(f"rank {self.rank!r} is not an integer")
+        rays = tuple(tuple(ray) for ray in self.rays)
+        for ray in rays:
+            if not all(map(_is_int, ray)):
+                raise ToricError(f"ray {list(ray)} has a non-integer coordinate")
         object.__setattr__(self, "rays", rays)
         if self.cones is not None:
-            object.__setattr__(
-                self, "cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.cones)
-            )
+            cones = tuple(tuple(c) for c in self.cones)
+            for cone in cones:
+                if not all(map(_is_int, cone)):
+                    raise ToricError(f"cone {list(cone)} has a non-integer index")
+            object.__setattr__(self, "cones", tuple(tuple(sorted(c)) for c in cones))
         seen = set()
         for ray in rays:
             if len(ray) != self.rank:
@@ -74,7 +85,7 @@ class FanData:
     @staticmethod
     def from_json(data: dict) -> "FanData":
         return FanData(
-            rank=int(data["rank"]),
+            rank=data["rank"],
             rays=tuple(tuple(r) for r in data["rays"]),
             cones=tuple(tuple(c) for c in data["cones"]) if data.get("cones") else None,
         )
@@ -111,6 +122,16 @@ class ClassGroupData:
 _SECTION_BUDGET = 200000
 # classes in the box of a relation-monoid slice before relation_monoid gives up
 _MONOID_BUDGET = 1000000
+# highest series order of the quantum-period oracles: the box bounds the
+# classes but not the size of their multinomials, which grow with the order
+_ORDER_BUDGET = 1000
+
+
+def _check_order(order: int):
+    if order < 0:
+        raise ToricError("order must be nonnegative")
+    if order > _ORDER_BUDGET:
+        raise ToricError(f"order {order} exceeds the budget {_ORDER_BUDGET}")
 
 
 def _effective_section(proj, l: int, r: int):
@@ -285,8 +306,7 @@ def toric_quantum_period(fan: FanData, cg: ClassGroupData, order: int) -> Period
     Degree-d coefficient: sum over monoid tuples with sum k_i = d of
     d!/(k_1! ... k_l!) times the parameter monomial of the tuple's class.
     """
-    if order < 0:
-        raise ToricError("order must be nonnegative")
+    _check_order(order)
     slice_ = relation_monoid(fan, order)
     return _class_series(
         fan, cg, order, ((sum(k), k, _multinomial(sum(k), k)) for k in slice_.tuples)
@@ -339,8 +359,7 @@ def ci_quantum_period(
     equal to d of (prod over blocks of (block subtotal)!) / (prod k_i!),
     times the parameter monomial of the tuple's class.
     """
-    if order < 0:
-        raise ToricError("order must be nonnegative")
+    _check_order(order)
     partition.validate(fan.n_rays)
     s0 = partition.blocks[0]
     try:

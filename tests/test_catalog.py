@@ -1,10 +1,11 @@
 """Catalog loading, round-trips, verification and negative controls."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from lgforge import load_catalog, verify_all, verify_entry
+from lgforge import catalog, load_catalog, parse, verify_all, verify_entry
 from lgforge.catalog import CatalogError, default_catalog_path
 from lgforge.cli import main
 
@@ -38,10 +39,10 @@ def test_ids_unique_and_sorted(entries):
 
 def test_models_parse(entries):
     for e in entries:
-        f = e.parse_model()
+        f = e.parse_model
         if e.model is not None:
             assert f is not None and not f.is_zero
-        g = e.parse_param_model()
+        g = e.parse_param_model
         if e.param_model is not None:
             assert g is not None
 
@@ -215,3 +216,17 @@ def test_failing_chain_check_has_witness_degree(tmp_path):
     bad = [c for c in report.checks if c.kind == "mutation_chain" and not c.ok]
     assert bad and bad[0].witness_degree is not None
     assert f"first mismatch at degree {bad[0].witness_degree}: " in bad[0].detail
+
+
+def test_checks_share_the_parsed_models_without_changing_them(monkeypatch):
+    """Two verify_all passes over one set of entries give identical reports,
+    and every cached model still equals a fresh parse afterwards."""
+    entries = load_catalog()
+    monkeypatch.setattr(catalog, "load_catalog", lambda path=None: entries)
+    first, second = verify_all(10), verify_all(10)
+    assert [replace(r, seconds=0.0) for r in first] == [replace(r, seconds=0.0) for r in second]
+    assert all(r.ok for r in first)
+    for e in entries:
+        for text, cached in ((e.model, e.parse_model), (e.param_model, e.parse_param_model)):
+            if text is not None:
+                assert cached == parse(text, e.rank, e.param_rank), e.id

@@ -164,6 +164,19 @@ def test_toric_qp_past_the_monoid_budget_fails_fast(fan_file):
     assert "exceeds the budget" in proc.stderr
 
 
+@pytest.mark.parametrize("sub", [["qp"], ["ci", "--part", "0;1,2"]])
+def test_toric_order_past_the_budget_fails_fast(fan_file, sub):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgforge.cli", "toric", *sub, "--fan", fan_file, "--n", "30000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: order 30000 exceeds the budget 1000\n"
+
+
 P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
 
 
@@ -176,6 +189,9 @@ P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
         ({"rank": 2, "rays": 5}, ["hv"]),
         ({"rank": 2, "rays": [[2, 0], [0, 1], [-1, -1]]}, ["hv"]),
         (P2_FAN, ["ci", "--part", "x;y", "--n", "3"]),
+        ({"rank": 2, "rays": [[1.5, 0], [0, True], [-1, -1]]}, ["hv"]),
+        ({**P2_FAN, "cones": [[0, 1.0]]}, ["qp", "--n", "3"]),
+        ({**P2_FAN, "rank": 2.5}, ["hv"]),
     ],
     ids=[
         "no-rank",
@@ -184,6 +200,9 @@ P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
         "rays-not-a-list",
         "ray-not-primitive",
         "part-not-integers",
+        "ray-not-integers",
+        "cone-index-not-integer",
+        "rank-not-integer",
     ],
 )
 def test_malformed_toric_input_is_usage_error(capsys, tmp_path, fan, args):
@@ -191,7 +210,9 @@ def test_malformed_toric_input_is_usage_error(capsys, tmp_path, fan, args):
     path.write_text(json.dumps(fan), encoding="utf-8")
     code = main(["toric", args[0], "--fan", str(path), *args[1:]])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_degenerate(capsys, tmp_path):

@@ -254,7 +254,7 @@ def pinned_hulls() -> str:
     fan polytopes and 40 seeded random sets, one hull per line of JSON."""
     inputs = {}
     for entry in load_catalog():
-        models = (("model", entry.parse_model()), ("param_model", entry.parse_param_model()))
+        models = (("model", entry.parse_model), ("param_model", entry.parse_param_model))
         for label, f in models:
             if f is not None:
                 inputs[f"{entry.id} {label}"] = list(f.terms)

@@ -270,7 +270,7 @@ def catalog_periods_n8() -> str:
 
     out = {}
     for entry in load_catalog():
-        inputs = [("model", entry.parse_model()), ("param_model", entry.parse_param_model())]
+        inputs = [("model", entry.parse_model), ("param_model", entry.parse_param_model)]
         for index, check in enumerate(entry.checks):
             if check.kind == "toric_oracle":
                 rays = check.payload["rays"]

@@ -1,6 +1,7 @@
 """Fans, class groups, mirror models, quantum-period oracles, Markov triples."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
@@ -243,6 +244,20 @@ class TestFanData:
         with pytest.raises(ToricError):
             FanData(2, ((1, 0), (-1, 0)))
 
+    @pytest.mark.parametrize(
+        "rank, rays, cones, message",
+        [
+            (2, ((1.5, 0), (0, 1), (-1, -1)), None, "ray [1.5, 0]"),
+            (2, ((1, 0), (0, True), (-1, -1)), None, "ray [0, True]"),
+            (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1.0),), "cone [0, 1.0]"),
+            (2.0, ((1, 0), (0, 1), (-1, -1)), None, "rank 2.0"),
+        ],
+        ids=["float-coordinate", "bool-coordinate", "float-cone-index", "float-rank"],
+    )
+    def test_non_integer_values_rejected(self, rank, rays, cones, message):
+        with pytest.raises(ToricError, match=re.escape(message)):
+            FanData(rank, rays, cones)
+
 
 class TestClassGroup:
     def test_p2(self):
@@ -476,6 +491,13 @@ class TestQuantumPeriodOracle:
     def test_order_zero(self):
         series = toric_quantum_period(P2, class_group(P2), 0)
         assert list(series.coefficients) == [1]
+
+    def test_order_past_the_budget_raises_before_enumerating(self):
+        cg = class_group(P4)
+        with pytest.raises(ToricError, match="order 1001 exceeds the budget 1000"):
+            toric_quantum_period(P4, cg, 1001)
+        with pytest.raises(ToricError, match="order 30000 exceeds the budget 1000"):
+            ci_quantum_period(P4, cg, NefPartition(((3, 4), (0, 1, 2))), 30000)
 
     def test_oracle_matches_powering_to_order_eight(self):
         for fan in (P1, P2, P3, P1xP1, P1xP2, BLP_P3):
