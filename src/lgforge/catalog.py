@@ -477,7 +477,7 @@ def verify_entry(
     for check in entry.checks:
         try:
             result = _RUNNERS[check.kind](entry, check, resolver, order)
-        except (LaurentError, CatalogError, toric.ToricError) as err:
+        except (LaurentError, CatalogError) as err:
             result = CheckReport(check.kind, False, f"error: {err}")
         report.checks.append(result)
         if not result.ok:

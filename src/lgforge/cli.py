@@ -5,6 +5,9 @@ coords, subst, newton, chain, regularize), toric constructions under the
 ``toric`` group, degenerations, Markov triples, and the catalog harness.
 Exact rationals render as ``p/q``; ``--json`` switches every subcommand to
 a machine-readable envelope of the form {"command": ..., ...}.
+
+Each subcommand imports the library modules it runs when it runs, so a
+cold start of one verb does not load the others.
 """
 
 from __future__ import annotations
@@ -15,11 +18,6 @@ import os
 import sys
 from fractions import Fraction
 from math import factorial
-
-from . import catalog as catalog_mod
-from . import degeneration, mutation, period, toric
-from .laurent import LaurentError, LaurentPolynomial
-from .parsing import parse
 
 
 class CliError(Exception):
@@ -55,14 +53,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _load_fan(path: str) -> toric.FanData:
+def _load_fan(path: str):
+    from . import toric
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         return toric.FanData.from_json(data)
     except KeyError as err:
         raise UsageError(f"{path}: a fan needs the key {err}") from None
-    except (TypeError, ValueError, toric.ToricError) as err:
+    except (TypeError, ValueError) as err:
         raise UsageError(f"{path}: not a fan: {err}") from None
 
 
@@ -71,7 +71,9 @@ def _param_index(name: str) -> int:
     return int(name.strip().lstrip("a")) - 1
 
 
-def _expression(args, rank=None) -> LaurentPolynomial:
+def _expression(args, rank=None):
+    from .parsing import parse
+
     rank = args.rank if rank is None else rank
     return parse(args.expression, rank, args.params)
 
@@ -87,6 +89,8 @@ def _emit(args, payload: dict, text: str):
 
 
 def cmd_period(args):
+    from . import period
+
     f = _expression(args)
     flavor = period.CLASSICAL if args.classical else period.REGULARIZED
     series = period.period_coefficients(f, args.n, flavor)
@@ -109,6 +113,9 @@ def cmd_regularize(args):
 
 
 def cmd_mutate(args):
+    from . import mutation
+    from .parsing import parse
+
     f = _expression(args)
     factor = parse(args.a, f.rank, f.param_rank)
     data = mutation.MutationData(tuple(_parse_ints(args.w)), factor)
@@ -151,10 +158,15 @@ def cmd_newton(args):
 
 
 def cmd_chain(args):
+    from . import mutation
+
     with open(args.file, encoding="utf-8") as fh:
         steps_json = json.load(fh)
     f = _expression(args)
-    steps = mutation.chain_steps_from_json(steps_json, f.rank, f.param_rank, _param_index)
+    try:
+        steps = mutation.chain_steps_from_json(steps_json, f.rank, f.param_rank, _param_index)
+    except mutation.ChainFormatError as err:
+        raise UsageError(str(err)) from err
     report = mutation.run_chain(mutation.MutationChain(f, steps), order=args.n)
     lines = [
         f"step {s.index}: {s.description}: {'ok' if s.ok else 'FAIL'}"
@@ -180,17 +192,23 @@ def cmd_chain(args):
 
 
 def _fan_and_class_group(args):
+    from . import toric
+
     fan = _load_fan(args.fan)
     return fan, toric.class_group(fan)
 
 
 def cmd_toric_hv(args):
+    from . import toric
+
     fan = _load_fan(args.fan)
     f = toric.hori_vafa(fan)
     _emit(args, {"command": "toric hv", "result": f.render()}, f.render())
 
 
 def cmd_toric_pair(args):
+    from . import toric
+
     fan, cg = _fan_and_class_group(args)
     f = toric.toric_pair_model(fan, cg)
     _emit(
@@ -206,6 +224,8 @@ def cmd_toric_pair(args):
 
 
 def cmd_toric_qp(args):
+    from . import toric
+
     fan, cg = _fan_and_class_group(args)
     series = toric.toric_quantum_period(fan, cg, args.n)
     values = series.render_list()
@@ -217,6 +237,8 @@ def cmd_toric_qp(args):
 
 
 def cmd_toric_ci(args):
+    from . import toric
+
     fan, cg = _fan_and_class_group(args)
     blocks = tuple(tuple(_parse_ints(b)) for b in args.part.split(";"))
     series = toric.ci_quantum_period(fan, cg, toric.NefPartition(blocks), args.n)
@@ -229,6 +251,8 @@ def cmd_toric_ci(args):
 
 
 def cmd_toric_fibre(args):
+    from . import toric
+
     fan = _load_fan(args.fan)
     sub = toric.fibre_fan(fan, _parse_matrix(args.projection))
     _emit(
@@ -239,6 +263,8 @@ def cmd_toric_fibre(args):
 
 
 def cmd_toric_wpp(args):
+    from . import toric
+
     w = _parse_ints(args.weights)
     if len(w) != 3:
         raise CliError("wpp expects three weights")
@@ -252,6 +278,8 @@ def cmd_toric_wpp(args):
 
 
 def cmd_degenerate(args):
+    from . import degeneration
+
     fan = _load_fan(args.fan)
     d = _parse_fractions(args.d)
     result = degeneration.direction_degeneration(
@@ -273,6 +301,8 @@ def cmd_degenerate(args):
 
 
 def cmd_markov(args):
+    from . import toric
+
     triple = toric.MarkovTriple(*_parse_ints(args.triple))
     if args.slot is not None:
         new = toric.markov_mutate(triple, args.slot)
@@ -297,8 +327,13 @@ def _catalog_path(args):
 
 
 def cmd_catalog_list(args):
-    entries = catalog_mod.load_catalog(_catalog_path(args))
-    entries = catalog_mod.select_entries(entries, args.id)
+    from . import catalog
+
+    try:
+        entries = catalog.load_catalog(_catalog_path(args))
+    except catalog.CatalogError as err:
+        raise UsageError(str(err)) from err
+    entries = catalog.select_entries(entries, args.id)
     payload = [
         {
             "id": e.id,
@@ -319,12 +354,17 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_verify(args):
-    reports = catalog_mod.verify_all(
-        order=args.n,
-        path=_catalog_path(args),
-        id_filter=args.id,
-        workers=args.threads,
-    )
+    from . import catalog
+
+    try:
+        reports = catalog.verify_all(
+            order=args.n,
+            path=_catalog_path(args),
+            id_filter=args.id,
+            workers=args.threads,
+        )
+    except catalog.CatalogError as err:
+        raise UsageError(str(err)) from err
     lines = []
     all_ok = True
     for rep in reports:
@@ -498,19 +538,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (
-        catalog_mod.CatalogError,
-        mutation.ChainFormatError,
-        UsageError,
-        OSError,
-        json.JSONDecodeError,
-    ) as err:
+    except (UsageError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (LaurentError, toric.ToricError, ValueError) as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -9,9 +9,9 @@ Variables are ``x,y,z,w`` (rank <= 4) or ``x1..xn``; parameters are
 ``a1..ar`` (plain ``a`` is accepted when r = 1).  Implicit multiplication
 is not allowed.  Rational sub-expressions are accepted only when, after
 full expansion, every denominator is a single monomial; parsing then
-yields the expanded canonical Laurent polynomial.  A power of a base with
-several terms is refused when it could expand past ``_POWER_BUDGET``
-terms; a power of a monomial is not limited.
+yields the expanded canonical Laurent polynomial.  A power is refused
+when it could expand past ``_POWER_BUDGET`` terms, or give a coefficient
+of more than ``_COEFF_BITS_BUDGET`` bits.
 """
 
 from __future__ import annotations
@@ -51,21 +51,43 @@ def _tokenize(text: str):
 
 # most terms that a power of a base with several terms may expand to
 _POWER_BUDGET = 2000
+# most bits that a power may give a numerator or denominator of a coefficient
+_COEFF_BITS_BUDGET = 2**18
 
 
 def _power(base: LaurentPolynomial, e: int) -> LaurentPolynomial:
-    """base ** e for e >= 0, or ExpressionError when C(e+t-1, t-1), the most
-    terms the power of a t-term base can have, exceeds ``_POWER_BUDGET``.
-    It is built as C(e+i, i) for i = 1..t-1, which only grows with i, so the
-    check stops at the first value over budget."""
+    """base ** e, or ExpressionError before any multiplication when the power
+    could be too large.
+
+    Terms are counted flattened: a torus term whose coefficient has k
+    parameter terms counts k times.  The power of a t-term base can have
+    C(|e|+t-1, t-1) terms; it is built as C(|e|+i, i) for i = 1..t-1, which
+    only grows with i, so the check stops at the first value over
+    ``_POWER_BUDGET``.  A numerator or denominator n raised to |e| has at most
+    |e|*ceil(log2 |n|) bits, checked against ``_COEFF_BITS_BUDGET``."""
+    scalars = [
+        q
+        for c in base.terms.values()
+        for q in (c.terms.values() if isinstance(c, ParamPoly) else (c,))
+    ]
     bound = 1
-    for i in range(1, len(base.terms)):
-        bound = bound * (e + i) // i
+    for i in range(1, len(scalars)):
+        bound = bound * (abs(e) + i) // i
         if bound > _POWER_BUDGET:
             raise ExpressionError(
-                f"a {len(base.terms)}-term base to the power {e} may expand to"
+                f"a {len(scalars)}-term base to the power {e} may expand to"
                 f" more than {_POWER_BUDGET} terms"
             )
+    # (|n| - 1).bit_length() is ceil(log2 |n|), so coefficients of +-1 never count
+    bits = max(
+        ((abs(n) - 1).bit_length() for q in scalars for n in (q.numerator, q.denominator)),
+        default=0,
+    )
+    if abs(e) * bits > _COEFF_BITS_BUDGET:
+        raise ExpressionError(
+            f"a base with {bits}-bit coefficients to the power {e} may give a"
+            f" coefficient of more than {_COEFF_BITS_BUDGET} bits"
+        )
     return base ** e
 
 
@@ -125,7 +147,7 @@ class _Rat:
         if self.num.is_zero:
             raise ExpressionError("division by zero")
         if self.den is None and len(self.num.terms) == 1:
-            return _Rat(self.num ** e)
+            return _Rat(_power(self.num, e))
         return _Rat._fraction(_power(self._den(), -e), _power(self.num, -e))
 
 

@@ -340,6 +340,45 @@ def test_malformed_chain_file_is_load_error(capsys, tmp_path, steps):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def run_cold(args, timeout=60):
+    """``python -m lgforge.cli`` in a fresh process, where a subcommand has
+    imported only what it runs."""
+    return subprocess.run(
+        [sys.executable, "-m", "lgforge.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+
+
+@pytest.mark.parametrize(
+    "files, args, code",
+    [
+        ({"catalog.json": {"id": "not-a-list"}}, ["catalog", "list", "--catalog", "catalog.json"], 2),
+        ({"chain.json": [{"kind": "twist"}]}, ["chain", "--file", "chain.json", "x+y+z"], 2),
+        ({"fan.json": {"rays": [[1, 0], [0, 1]]}}, ["toric", "hv", "--fan", "fan.json"], 2),
+        ({}, ["period", "--rank", "2", "x+*y"], 1),
+        ({}, ["mutate", "--w", "1,0", "--rank", "2", "--a", "1+y", "1/x"], 1),
+        ({"fan.json": P2_FAN}, ["toric", "qp", "--fan", "fan.json", "--n", "30000"], 1),
+    ],
+    ids=["catalog-file", "chain-file", "fan-file", "expression", "not-mutable", "order-budget"],
+)
+def test_cold_process_exit_codes(tmp_path, files, args, code):
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
+    proc = run_cold([str(tmp_path / a) if a in files else a for a in args])
+    assert proc.returncode == code
+    assert sum(line.startswith("error: ") for line in proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_power_past_the_coefficient_budget_exits_one():
+    proc = run_cold(["period", "--rank", "1", "(3*x)^30000000"], timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "more than 262144 bits" in proc.stderr
+
+
 def test_period_fast_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["period", "--fast", "x+1/x", "--rank", "1"])

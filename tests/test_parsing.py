@@ -1,9 +1,14 @@
 """The parser against the num/den parser it replaced, kept here as the slow
 oracle: every value is a pair num/den, and a denominator of one term is
-divided out after every operation.  Hypothesis compares the two on grammar
-strings, and both run on every expression the catalog parses."""
+divided out after every operation.  Its powers go through the parser's
+``_power``, so both refuse a power past the budgets with the same message;
+the algebra of num/den pairs stays independent.  Hypothesis compares the two
+on grammar strings, and both run on every expression the catalog parses."""
 
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +20,14 @@ from hypothesis import strategies as st
 from lgforge import catalog, mutation
 from lgforge.catalog import load_catalog, verify_entry
 from lgforge.laurent import LaurentPolynomial, ParamPoly
-from lgforge.parsing import _POWER_BUDGET, ExpressionError, _tokenize, parse
+from lgforge.parsing import (
+    _COEFF_BITS_BUDGET,
+    _POWER_BUDGET,
+    ExpressionError,
+    _power,
+    _tokenize,
+    parse,
+)
 
 
 @dataclass
@@ -54,10 +66,10 @@ class _Rat:
 
     def __pow__(self, e: int) -> "_Rat":
         if e >= 0:
-            return _Rat(self.num ** e, self.den ** e)._simplify()
+            return _Rat(_power(self.num, e), _power(self.den, e))._simplify()
         if self.num.is_zero:
             raise ExpressionError("division by zero")
-        return _Rat(self.den ** -e, self.num ** -e)._simplify()
+        return _Rat(_power(self.den, -e), _power(self.num, -e))._simplify()
 
 
 class _Parser:
@@ -200,8 +212,8 @@ def expressions(draw, rank, param_rank, depth=2):
     """A string of the grammar with parentheses nested up to ``depth``
     levels.  Quotients by monomials and by sums, negative powers, zeros (0
     and sums such as x-x, in one string in three) and undeclared names (in
-    one in eight) all occur; sizes stay small enough that no power reaches
-    the budget."""
+    one in eight) all occur.  A power of a many-term denominator can still
+    reach the term budget, which both parsers then report."""
     valid = ["xyzw"[i] for i in range(min(rank, 4))] + [f"x{i + 1}" for i in range(rank)]
     valid += [f"a{i + 1}" for i in range(param_rank)] + (["a"] if param_rank == 1 else [])
     invalid = ["w", f"x{rank + 1}", f"a{param_rank + 1}", "a", "q"]
@@ -330,3 +342,50 @@ def test_power_past_the_budget_fails_fast(text, rank):
 def test_power_budget_boundary_and_monomial_powers():
     assert len(parse("(1+x+y+z)^20", 3)) == 1771  # C(23, 3), within the budget
     assert parse("(2*x*y)^-100000", 2).terms == {(-100000, -100000): Fraction(1, 2**100000)}
+
+
+@pytest.mark.parametrize(
+    "text, rank, params, message",
+    [
+        ("((a1+a2+a3+a4+a5)*x)^30", 1, 5, "5-term base to the power 30 may expand to more"),
+        ("((a1+a2)*(x+y))^1000", 2, 2, f"more than {_POWER_BUDGET} terms"),
+        ("(3*x)^10000000", 1, 0, f"more than {_COEFF_BITS_BUDGET} bits"),
+        ("(3*x)^-30000000", 1, 0, f"more than {_COEFF_BITS_BUDGET} bits"),
+        ("(x/3)^-30000000", 1, 0, f"more than {_COEFF_BITS_BUDGET} bits"),
+        ("(3*a1*x)^10000000", 1, 1, f"more than {_COEFF_BITS_BUDGET} bits"),
+    ],
+)
+def test_power_past_the_flattened_or_coefficient_budget_fails_fast(text, rank, params, message):
+    """Each parse runs in its own process under a timeout, since an unbounded
+    power of these takes from seconds to minutes."""
+    code = (
+        "import time\n"
+        "from lgforge.parsing import ExpressionError, parse\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    parse({text!r}, {rank}, {params})\n"
+        "except ExpressionError as err:\n"
+        "    print(f'{time.perf_counter() - start:.3f} {err}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+    )
+    seconds, _, error = proc.stdout.partition(" ")
+    assert message in error
+    assert float(seconds) < 1.0
+
+
+def test_coefficient_budget_boundary():
+    top = _COEFF_BITS_BUDGET
+    assert parse(f"(2*x)^{top}", 1).terms == {(top,): 2**top}
+    assert parse(f"(x/2)^-{top}", 1).terms == {(-top,): 2**top}
+    with pytest.raises(ExpressionError, match=f"more than {top} bits"):
+        parse(f"(2*x)^{top + 1}", 1)
+    # coefficients of +-1 do not grow, whatever the exponent
+    assert parse("(-x)^1000000001", 1).terms == {(1000000001,): -1}
+    # five parameter terms to the 12th: C(16, 4) flattened terms, within the budget
+    assert len(parse("((a1+a2+a3+a4+a5)*x)^12", 1, 5).terms[(12,)].terms) == 1820
