@@ -155,7 +155,7 @@ def _is_rational(x) -> bool:
     if isinstance(x, str):
         try:
             Fraction(x)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return False
         return True
     return _is_int(x)

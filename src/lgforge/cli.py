@@ -38,7 +38,7 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_fractions(text: str) -> list[Fraction]:
     try:
         return [Fraction(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"expected comma-separated rationals, got {text!r}") from None
 
 
@@ -68,7 +68,22 @@ def _load_fan(path: str):
 
 def _param_index(name: str) -> int:
     """Index of the parameter named a1, a2, ..."""
-    return int(name.strip().lstrip("a")) - 1
+    name = name.strip()
+    if not (name[:1] == "a" and name[1:].isdigit() and int(name[1:]) >= 1):
+        raise ValueError(f"parameters are named a1, a2, ..., got {name!r}")
+    return int(name[1:]) - 1
+
+
+def _parse_assign(text: str) -> dict[int, Fraction]:
+    """Parameter values from ``a1=1,a2=-1/2``, keyed by parameter index."""
+    assign = {}
+    for item in text.split(","):
+        try:
+            name, value = item.split("=")
+            assign[_param_index(name)] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"expected assignments like a1=1/2, got {item!r}") from None
+    return assign
 
 
 def _expression(args, rank=None):
@@ -137,11 +152,8 @@ def cmd_coords(args):
 
 
 def cmd_subst(args):
+    assign = _parse_assign(args.assign)
     f = _expression(args)
-    assign = {}
-    for item in args.assign.split(","):
-        name, value = item.split("=")
-        assign[_param_index(name)] = Fraction(value)
     g = f.substitute_parameters(assign)
     _emit(args, {"command": "subst", "result": g.render()}, g.render())
 

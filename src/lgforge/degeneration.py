@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import geometry
 from .laurent import LaurentError, LaurentPolynomial, ParamPoly
@@ -32,21 +34,23 @@ class DivisorOnFan:
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.fan.n_rays:
             raise DegenerationError("one coefficient per ray is required")
-        if not self.section_polytope_vertices():
+        if not self.section_polytope_vertices:
             raise DegenerationError(
                 "section polytope is empty: the divisor is not effective"
             )
 
+    @cached_property
     def section_polytope_vertices(self):
-        """Vertices of {m : <m, v_i> >= -d_i}; unbounded polytopes are rejected."""
-        hull = geometry.convex_hull(self.fan.rays)
-        if hull.dim != self.fan.rank or not all(c < 0 for _, c in hull.system):
+        """Sorted vertices m/(t den) of {m : <m, v_i> >= -d_i}, one per ray (m, t) with
+        t > 0 of the pointed cone {<m, v_i> + d_i den t >= 0, t >= 0}; t = 0 means unbounded."""
+        den = lcm(*(c.denominator for c in self.coefficients))
+        normals = [ray + (int(c * den),) for ray, c in zip(self.fan.rays, self.coefficients)]
+        rays = geometry.extreme_rays(normals + [(0,) * self.fan.rank + (1,)])
+        if any(t == 0 for *_, t in rays):
             raise DegenerationError(
                 "rays do not surround the origin; section polytope would be unbounded"
             )
-        normals = [list(ray) for ray in self.fan.rays]
-        rhs = [-c for c in self.coefficients]
-        return geometry.vertices_of_inequalities(normals, rhs)
+        return sorted(tuple(Fraction(x, t * den) for x in m) for *m, t in rays)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ def direction_degeneration(divisor: DivisorOnFan) -> DegenerationResult:
     Rays with minimum 0 survive in the minimal degeneration; rays with
     maximum 0 survive in the maximal one.
     """
-    vertices = divisor.section_polytope_vertices()
+    vertices = divisor.section_polytope_vertices
     fan = divisor.fan
     intervals = []
     f_min = []

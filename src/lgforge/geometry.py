@@ -1,4 +1,4 @@
-"""Exact convex geometry for lattice point sets in dimension <= 4.
+"""Exact convex geometry of lattice point sets and rational cones.
 
 A configuration is first written in coordinates of its affine lattice, where
 it is full-dimensional.  There the hull is built by beneath-beyond: start
@@ -8,14 +8,15 @@ horizon ridges, found combinatorially as pairs of a visible and a hidden
 facet whose shared tight points span a ridge.  Normals are integer
 generalized cross products, so everything stays exact, and the work grows
 with the facets met rather than with the k-subsets of the points.
+
+By polarity, the extreme rays of a pointed cone {x : <a_i, x> >= 0} are the
+inner normals of the facets through 0 of the hull of 0 and the a_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from . import intlinalg
 
@@ -188,32 +189,13 @@ def convex_hull(points) -> HullData:
     return HullData(dim=k, vertices=tuple(vertices), system=tuple(sorted(set(system))))
 
 
-def vertices_of_inequalities(normals, rhs):
-    """Vertices of ``{m : <normals[i], m> >= rhs[i]}`` by basis enumeration.
-
-    ``normals`` are integer and ``rhs`` entries may be Fractions.  Each
-    nonsingular choice of n inequalities is solved by Cramer's rule over the
-    integers, after clearing the denominators of ``rhs``.  Returns exact
-    rational vertex tuples; an empty list means the polyhedron has no vertex
-    (for pointed systems, that it is empty).
+def extreme_rays(normals):
+    """Sorted primitive extreme rays of the cone {x : <a, x> >= 0 for a in
+    ``normals``}: the normals of the facets ``(a, 0)`` of conv({0} u normals).
+    Normals that do not span leave a line in the cone and raise ValueError.
     """
-    m = len(normals)
-    n = len(normals[0]) if m else 0
-    rhs = [Fraction(b) for b in rhs]
-    den = lcm(*(b.denominator for b in rhs))
-    b = [int(x * den) for x in rhs]  # <normals[i], m> >= b[i] / den
-    vertices = set()
-    for subset in combinations(range(m), n):
-        a = [list(normals[i]) for i in subset]
-        d = intlinalg.det(a)
-        if d == 0:
-            continue
-        sign = 1 if d > 0 else -1
-        # the solution is x / (|d| den)
-        x = [
-            sign * intlinalg.det([row[:j] + [b[i]] + row[j + 1:] for i, row in zip(subset, a)])
-            for j in range(n)
-        ]
-        if all(_dot(normals[i], x) >= b[i] * abs(d) for i in range(m)):
-            vertices.add(tuple(Fraction(xj, abs(d) * den) for xj in x))
-    return sorted(vertices)
+    n = len(normals[0]) if normals else 0
+    hull = convex_hull([(0,) * n, *normals])
+    if hull.dim < n:
+        raise ValueError("the normals do not span; the cone is not pointed")
+    return sorted(a for a, c in hull.system if c == 0)

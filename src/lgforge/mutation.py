@@ -151,7 +151,7 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
                 raise ChainFormatError(f"unknown step kind {kind!r}")
         except KeyError as err:
             raise ChainFormatError(f"chain step {index}: missing key {err}") from err
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, ZeroDivisionError) as err:
             raise ChainFormatError(f"chain step {index}: {err}") from err
     return tuple(steps)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import ceil, factorial, floor, gcd, isqrt, lcm, prod
+from math import ceil, factorial, floor, gcd, isqrt, prod
 
 from . import geometry, intlinalg
 from .laurent import LaurentError, LaurentPolynomial, NewtonPolytopeData, ParamPoly
@@ -227,10 +227,11 @@ def relation_monoid(fan: FanData, bound: int, grading=None) -> RelationMonoidSli
     """All k in Z_{>=0}^l with sum k_i v_i = 0 and sum grading_i k_i <= bound.
 
     The grading defaults to all ones.  Each k is c K for the saturated r x l
-    relation basis K, with c in Z^r.  The extreme rays of c K >= 0, scaled to
-    degree ``bound``, and 0 span the slice: its box bounds c_1..c_{r-1}, and
-    c_r runs over an exact integer interval.  A ray of degree <= 0 raises
-    GradingError; a box past ``_MONOID_BUDGET`` classes raises ToricError.
+    relation basis K, with c in Z^r.  The extreme rays of c K >= 0
+    (``geometry.extreme_rays``), scaled to degree ``bound``, and 0 span the
+    slice: its box bounds c_1..c_{r-1}, and c_r runs over an exact integer
+    interval.  A ray of degree <= 0 raises GradingError; a box past
+    ``_MONOID_BUDGET`` classes raises ToricError.
     """
     if bound < 0:
         raise ToricError("degree bound must be nonnegative")
@@ -240,19 +241,18 @@ def relation_monoid(fan: FanData, bound: int, grading=None) -> RelationMonoidSli
     if not basis:
         return RelationMonoidSlice(degree_bound=bound, tuples=((0,) * l,))
     columns = intlinalg.transpose(basis)  # k_i = <columns[i], c>
-    totals = [sum(row) for row in basis]
     degree = intlinalg.mat_vec(basis, grading)
     corners = [[0] * len(basis)]
-    for ray in geometry.vertices_of_inequalities(
-        columns + [totals, [-t for t in totals]], [0] * l + [1, -1]
+    # sorted by their points on the slice sum k = 1, which fixes the witness;
+    # each columns . ray is a primitive relation, as K is saturated
+    for ray in sorted(
+        geometry.extreme_rays(columns),
+        key=lambda ray: [Fraction(x, sum(intlinalg.mat_vec(columns, ray))) for x in ray],
     ):
         d = sum(x * y for x, y in zip(degree, ray))
         if d <= 0:
-            k = intlinalg.mat_vec(columns, ray)
-            scale = lcm(*(x.denominator for x in k))
-            witness = tuple(int(x * scale) for x in k)
-            raise GradingError(f"relation {witness} has degree {d * scale}")
-        corners.append([bound * x / d for x in ray])
+            raise GradingError(f"relation {tuple(intlinalg.mat_vec(columns, ray))} has degree {d}")
+        corners.append([Fraction(bound * x, d) for x in ray])
     box = [range(ceil(min(xs)), floor(max(xs)) + 1) for xs in zip(*corners)]
     volume = prod(map(len, box))
     if volume > _MONOID_BUDGET:

@@ -119,6 +119,11 @@ def test_unparseable_model_names_entry(tmp_path):
             {"kind": "toric_oracle", "rays": [[1], [-1]], "order": 8.0},
             "check 1 (toric_oracle): 'order' must be a non-negative integer",
         ),
+        (
+            {"kind": "direction_degeneration_edge", "rays": [[1], [-1]], "d": ["1/0", "0"],
+             "min_support": [], "max_support": []},
+            "'d' must give one rational per ray",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):

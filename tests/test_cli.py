@@ -74,6 +74,17 @@ def test_subst(capsys):
     assert out.strip() == "x+y+1/(x*y)"
 
 
+@pytest.mark.parametrize("assign", ["a1", "a1=x", "a1=1=2", "b1=2", "a0=1", "a1=1/0"])
+def test_malformed_assignment_is_usage_error(capsys, assign):
+    code = main(
+        ["subst", "--rank", "2", "--params", "1", "--assign", assign, "x+y+a1/(x*y)"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected assignments like a1=1/2, got {assign!r}\n"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "lgforge.cli", "period"],
@@ -183,15 +194,16 @@ P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
 @pytest.mark.parametrize(
     "fan, args",
     [
-        ({"rays": P2_FAN["rays"]}, ["qp", "--n", "3"]),
-        ([[1, 0], [0, 1], [-1, -1]], ["hv"]),
-        ({**P2_FAN, "cones": [[0, 1], [1, 3]]}, ["qp", "--n", "3"]),
-        ({"rank": 2, "rays": 5}, ["hv"]),
-        ({"rank": 2, "rays": [[2, 0], [0, 1], [-1, -1]]}, ["hv"]),
-        (P2_FAN, ["ci", "--part", "x;y", "--n", "3"]),
-        ({"rank": 2, "rays": [[1.5, 0], [0, True], [-1, -1]]}, ["hv"]),
-        ({**P2_FAN, "cones": [[0, 1.0]]}, ["qp", "--n", "3"]),
-        ({**P2_FAN, "rank": 2.5}, ["hv"]),
+        ({"rays": P2_FAN["rays"]}, ["toric", "qp", "--n", "3"]),
+        ([[1, 0], [0, 1], [-1, -1]], ["toric", "hv"]),
+        ({**P2_FAN, "cones": [[0, 1], [1, 3]]}, ["toric", "qp", "--n", "3"]),
+        ({"rank": 2, "rays": 5}, ["toric", "hv"]),
+        ({"rank": 2, "rays": [[2, 0], [0, 1], [-1, -1]]}, ["toric", "hv"]),
+        (P2_FAN, ["toric", "ci", "--part", "x;y", "--n", "3"]),
+        ({"rank": 2, "rays": [[1.5, 0], [0, True], [-1, -1]]}, ["toric", "hv"]),
+        ({**P2_FAN, "cones": [[0, 1.0]]}, ["toric", "qp", "--n", "3"]),
+        ({**P2_FAN, "rank": 2.5}, ["toric", "hv"]),
+        (P2_FAN, ["degenerate", "--d", "1/0,0,0"]),
     ],
     ids=[
         "no-rank",
@@ -203,12 +215,13 @@ P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
         "ray-not-integers",
         "cone-index-not-integer",
         "rank-not-integer",
+        "d-zero-denominator",
     ],
 )
 def test_malformed_toric_input_is_usage_error(capsys, tmp_path, fan, args):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan), encoding="utf-8")
-    code = main(["toric", args[0], "--fan", str(path), *args[1:]])
+    code = main([*args, "--fan", str(path)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -316,6 +329,7 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         [{"kind": "mutation", "w": [0, 1, 1]}],
         [{"kind": "coords"}],
         [{"kind": "subst", "assign": {"b1": "1"}}],
+        [{"kind": "subst", "assign": {"a1": "1/0"}}],
         [{"kind": "twist", "w": [0, 1, 1]}],
         [{"w": [0, 1, 1], "a": "x+1"}],
         ["mutation"],
@@ -326,6 +340,7 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         "no-a",
         "no-matrix",
         "bad-param-name",
+        "zero-denominator",
         "unknown-kind",
         "no-kind",
         "step-not-object",

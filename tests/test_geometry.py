@@ -1,5 +1,6 @@
-"""Exact hulls in low dimension, against simplex-membership and exhaustive
-hyperplane-enumeration oracles."""
+"""Exact hulls up to rank 6, against simplex-membership and exhaustive
+hyperplane-enumeration oracles, and extreme rays and section-polytope
+vertices against basis enumeration over the rationals."""
 
 import json
 import random
@@ -9,11 +10,14 @@ from math import gcd
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lgforge import geometry, intlinalg, load_catalog, wpp_fan_polytope
-from lgforge.geometry import _primitive, convex_hull, vertices_of_inequalities
+from lgforge.degeneration import DegenerationError, DivisorOnFan
+from lgforge.geometry import _primitive, convex_hull, extreme_rays
+from lgforge.toric import FanData
 from test_intlinalg import rank_rational_oracle, solve_rational_oracle
 
 
@@ -148,6 +152,23 @@ def test_hull_matches_exhaustive_oracle(points):
     assert convex_hull(points) == hull_by_enumeration(points)
 
 
+@st.composite
+def high_rank_hull_inputs(draw):
+    """4 to 10 points of rank 5 or 6, often fewer than a simplex needs,
+    and sometimes many on the facet where the last coordinate is -2."""
+    rank = draw(st.integers(5, 6))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=4, max_size=10))
+    if draw(st.booleans()):
+        points[: len(points) // 2 + 1] = [p[:-1] + (-2,) for p in points[: len(points) // 2 + 1]]
+    return points
+
+
+@settings(deadline=None, max_examples=100)
+@given(high_rank_hull_inputs())
+def test_hull_matches_exhaustive_oracle_in_rank_5_and_6(points):
+    assert convex_hull(points) == hull_by_enumeration(points)
+
+
 @settings(deadline=None, max_examples=200)
 @given(hull_inputs())
 def test_hull_system_is_primitive_and_facet_defining(points):
@@ -192,24 +213,6 @@ def test_hull_system_supports_all_points():
             assert any(v == c for v in values)  # and supporting
 
 
-def test_vertices_of_inequalities_unit_square():
-    normals = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    rhs = [0, -1, 0, -1]
-    verts = vertices_of_inequalities(normals, rhs)
-    assert sorted(tuple(int(c) for c in v) for v in verts) == [
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (1, 1),
-    ]
-
-
-def test_vertices_of_inequalities_empty():
-    normals = [(1,), (-1,)]
-    rhs = [1, 1]  # x >= 1 and -x >= 1
-    assert vertices_of_inequalities(normals, rhs) == []
-
-
 def vertices_by_rational_elimination(normals, rhs):
     """Basis enumeration with each subsystem solved over the rationals."""
     m = len(normals)
@@ -226,23 +229,89 @@ def vertices_by_rational_elimination(normals, rhs):
 
 
 @st.composite
-def inequality_systems(draw):
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(n, 6))
-    normals = draw(st.lists(
-        st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m
-    ))
-    rhs = draw(st.lists(
-        st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=m, max_size=m
-    ))
-    return normals, rhs
+def spanning_normals(draw):
+    """Spanning integer normals of rank 1-6: random ones, or the unit vectors
+    and a few more, whose cone lies in the positive orthant and is pointed."""
+    n = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    normals = draw(st.lists(vector, max_size=2))
+    if draw(st.booleans()):
+        normals += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    else:
+        normals += draw(st.lists(vector, min_size=n, max_size=n))
+    assume(rank_rational_oracle([list(a) for a in normals]) == n)
+    return normals
 
 
-@settings(deadline=None, max_examples=200)
-@given(inequality_systems())
-def test_vertices_of_inequalities_match_rational_elimination(system):
-    normals, rhs = system
-    assert vertices_of_inequalities(normals, rhs) == vertices_by_rational_elimination(normals, rhs)
+@settings(deadline=None, max_examples=100)
+@given(spanning_normals())
+def test_extreme_rays_match_rational_elimination(normals):
+    """The rays, on the slice where the normals sum to 1, are the vertices of
+    the cone's inequalities plus that slice equation."""
+    rays = extreme_rays(normals)
+    assert rays == sorted(rays) and all(gcd(*ray) == 1 for ray in rays)
+    total = [sum(col) for col in zip(*normals)]
+    oracle = vertices_by_rational_elimination(
+        normals + [total, [-x for x in total]], [0] * len(normals) + [1, -1]
+    )
+    assert sorted(
+        tuple(Fraction(x, sum(a * b for a, b in zip(total, ray))) for x in ray) for ray in rays
+    ) == oracle
+
+
+def test_extreme_rays_need_spanning_normals():
+    """Normals that do not span leave a line in the cone, which has no rays."""
+    for normals in ([(1, 0, 0), (0, 1, 0)], [(1, 0), (-1, 0)], [(0, 0)]):
+        with pytest.raises(ValueError, match="do not span"):
+            extreme_rays(normals)
+
+
+def test_section_polytope_vertices_unit_square():
+    divisor = DivisorOnFan(FanData(2, ((1, 0), (-1, 0), (0, 1), (0, -1))), (0, 1, 0, 1))
+    assert divisor.section_polytope_vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_section_polytope_empty_is_not_effective():
+    fan = FanData(1, ((1,), (-1,)))
+    with pytest.raises(DegenerationError) as err:
+        DivisorOnFan(fan, (-1, -1))  # x >= 1 and -x >= 1
+    assert str(err.value) == "section polytope is empty: the divisor is not effective"
+
+
+@st.composite
+def divisors_on_complete_fans(draw):
+    """Divisors on complete fans of rank 1-4, the rays +-e_i and up to three
+    more: random rational coefficients, zero, or the support function of
+    points flattened in one coordinate, whose section polytope is
+    lower-dimensional (nef but not big when no ray was added)."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    rays = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    rays += draw(st.lists(vector.filter(lambda v: gcd(*v) == 1), max_size=3))
+    rays = list(dict.fromkeys(rays))
+    shape = draw(st.sampled_from(("random", "zero", "flat")))
+    if shape == "random":
+        coefficient = st.fractions(min_value=-1, max_value=3, max_denominator=3)
+        d = draw(st.lists(coefficient, min_size=len(rays), max_size=len(rays)))
+    elif shape == "zero":
+        d = [0] * len(rays)
+    else:
+        j = draw(st.integers(0, n - 1))
+        points = [p[:j] + (0,) + p[j + 1:] for p in draw(st.lists(vector, min_size=1, max_size=4))]
+        d = [-min(sum(a * b for a, b in zip(v, p)) for p in points) for v in rays]
+    return FanData(n, tuple(rays)), d
+
+
+@settings(deadline=None, max_examples=100)
+@given(divisors_on_complete_fans())
+def test_section_polytope_vertices_match_rational_elimination(divisor):
+    fan, d = divisor
+    oracle = vertices_by_rational_elimination(fan.rays, [-Fraction(x) for x in d])
+    if not oracle:
+        with pytest.raises(DegenerationError, match="not effective"):
+            DivisorOnFan(fan, tuple(d))
+    else:
+        assert DivisorOnFan(fan, tuple(d)).section_polytope_vertices == oracle
 
 
 # weights of the weighted projective planes in the benchmark's cli mix
