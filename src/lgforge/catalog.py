@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import degeneration, mutation, period, toric
 from .laurent import LaurentError, LaurentPolynomial
-from .parsing import parse
+from .parsing import ExpressionError, parse, rational
 from .toric import _is_int
 
 DEFAULT_ORDER = 10
@@ -133,7 +133,7 @@ class EntryReport:
     error: str = ""
 
 
-def _check_from_json(index: int, raw) -> Check:
+def _check_from_json(index: int, raw, params: tuple[str, ...]) -> Check:
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in _REQUIRED_KEYS:
         raise CatalogError(f"check {index}: unknown check kind {kind!r}")
@@ -143,22 +143,38 @@ def _check_from_json(index: int, raw) -> Check:
         if not any(k in payload for k in options):
             missing = " or ".join(repr(k) for k in options)
             raise CatalogError(f"check {index} ({kind}): missing key {missing}")
+    label = f"check {index} ({kind})"
     if "rays" in _REQUIRED_KEYS[kind]:
-        _check_fan_payload(f"check {index} ({kind})", payload)
+        _check_fan_payload(label, payload)
     order = payload.get("order", 0)
     if kind in _ORDER_KINDS and not (_is_int(order) and order >= 0):
-        raise CatalogError(f"check {index} ({kind}): 'order' must be a non-negative integer")
+        raise CatalogError(f"{label}: 'order' must be a non-negative integer")
+    if kind == "parameter_limit_edge":
+        direction, subst = payload.get("direction", []), payload.get("subst", {})
+        if not (isinstance(direction, list) and all(map(_is_rational, direction))):
+            raise CatalogError(f"{label}: 'direction' must be a list of rationals")
+        if not (isinstance(subst, dict) and all(map(_is_rational, subst.values()))):
+            raise CatalogError(f"{label}: 'subst' must map parameter names to rationals")
+    for key, spec in payload.items():
+        assign = spec.get("param_model_at", {}) if isinstance(spec, dict) else {}
+        if not (
+            isinstance(assign, dict)
+            and set(assign) <= set(params)
+            and all(map(_is_rational, assign.values()))
+        ):
+            raise CatalogError(
+                f"{label}: 'param_model_at' in {key!r} must map parameters of the entry"
+                " to rationals"
+            )
     return Check(kind, payload)
 
 
 def _is_rational(x) -> bool:
-    if isinstance(x, str):
-        try:
-            Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return _is_int(x)
+    try:
+        rational(x)
+    except ExpressionError:
+        return False
+    return True
 
 
 def _check_fan_payload(label: str, payload: dict):
@@ -187,13 +203,14 @@ def _entry_from_json(raw: dict) -> CatalogEntry:
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     try:
-        checks = [_check_from_json(i, c) for i, c in enumerate(raw.get("checks", ()))]
+        params = tuple(raw.get("params", ()))
+        checks = [_check_from_json(i, c, params) for i, c in enumerate(raw.get("checks", ()))]
         entry = CatalogEntry(
             id=raw["id"],
             dim=int(raw["dim"]),
             picard_rank=int(raw["picard_rank"]),
             model=raw.get("model"),
-            params=tuple(raw.get("params", ())),
+            params=params,
             param_model=raw.get("param_model"),
             modulo_constant=bool(raw.get("modulo_constant", False)),
             geometric_only=bool(raw.get("geometric_only", False)),
@@ -265,7 +282,7 @@ class _Resolver:
             if f is None:
                 raise CatalogError(f"entry {entry.id!r} has no param_model")
             assign = {
-                _param_index(entry, name): Fraction(value)
+                _param_index(entry, name): rational(value)
                 for name, value in spec["param_model_at"].items()
             }
             return f.substitute_parameters(assign)
@@ -369,7 +386,7 @@ def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
         raise CatalogError(f"entry {entry.id!r} has no param_model")
     payload = check.payload
     if "direction" in payload:
-        direction = [Fraction(x) for x in payload["direction"]]
+        direction = [rational(x) for x in payload["direction"]]
         f = degeneration.parameter_direction_limit(f, direction)
     if payload.get("dying"):
         dying = [_param_index(entry, name) for name in payload["dying"]]
@@ -379,7 +396,7 @@ def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
         subst = payload.get("subst", {})
         survivors = [n for n in entry.params if n not in payload.get("dying", ())]
         values = {
-            idx: Fraction(subst.get(name, 1))
+            idx: rational(subst.get(name, 1))
             for idx, name in enumerate(survivors[: f.param_rank])
         }
         f = f.substitute_parameters(values)
@@ -408,7 +425,7 @@ def _run_direction_degeneration_edge(entry, check, resolver, order) -> CheckRepo
         rank=len(check.payload["rays"][0]),
         rays=tuple(tuple(r) for r in check.payload["rays"]),
     )
-    d = [Fraction(x) for x in check.payload["d"]]
+    d = [rational(x) for x in check.payload["d"]]
     result = degeneration.direction_degeneration(degeneration.DivisorOnFan(fan, tuple(d)))
     got_min = set(result.min_rays(fan))
     got_max = set(result.max_rays(fan))
@@ -429,12 +446,9 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
     model = toric.toric_pair_model(fan, cg)
     direct = period.period_coefficients(model, n, period.REGULARIZED)
     combinatorial = toric.toric_quantum_period(fan, cg, n)
-    if direct.coefficients != combinatorial.coefficients:
-        mismatch = next(
-            d
-            for d in range(n + 1)
-            if direct.coefficients[d] != combinatorial.coefficients[d]
-        )
+    witness = period.series_mismatch(direct, combinatorial)
+    if witness is not None:
+        mismatch = witness[0]
         return CheckReport(
             "toric_oracle",
             False,

@@ -74,13 +74,17 @@ def _param_index(name: str) -> int:
     return int(name[1:]) - 1
 
 
-def _parse_assign(text: str) -> dict[int, Fraction]:
-    """Parameter values from ``a1=1,a2=-1/2``, keyed by parameter index."""
+def _parse_assign(text: str, param_rank: int) -> dict[int, Fraction]:
+    """Parameter values from ``a1=1,a2=-1/2``, keyed by parameter index;
+    every index is below ``param_rank``."""
     assign = {}
     for item in text.split(","):
         try:
             name, value = item.split("=")
-            assign[_param_index(name)] = Fraction(value)
+            index = _param_index(name)
+            if index >= param_rank:
+                raise ValueError(f"no parameter {name!r}")
+            assign[index] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"expected assignments like a1=1/2, got {item!r}") from None
     return assign
@@ -152,7 +156,7 @@ def cmd_coords(args):
 
 
 def cmd_subst(args):
-    assign = _parse_assign(args.assign)
+    assign = _parse_assign(args.assign, args.params)
     f = _expression(args)
     g = f.substitute_parameters(assign)
     _emit(args, {"command": "subst", "result": g.render()}, g.render())

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 
 from . import geometry
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly
+from .laurent import LaurentError, LaurentPolynomial, flat_terms, from_flat
 from .toric import FanData
 
 
@@ -121,22 +121,14 @@ def parameter_direction_limit(f: LaurentPolynomial, direction) -> LaurentPolynom
         return f
     if len(w) != f.param_rank:
         raise DegenerationError("direction length must equal the parameter rank")
-    best = None
-    for coeff in f.terms.values():
-        for pexp in ParamPoly.coerce(f.param_rank, coeff):
-            order = sum(wi * e for wi, e in zip(w, pexp))
-            if best is None or order < best:
-                best = order
-    out = {}
-    for exp, coeff in f.terms.items():
-        kept = {
-            pexp: c
-            for pexp, c in ParamPoly.coerce(f.param_rank, coeff).items()
-            if sum(wi * e for wi, e in zip(w, pexp)) == best
-        }
-        if kept:
-            out[exp] = ParamPoly.of(f.param_rank, kept)
-    return LaurentPolynomial(f.rank, f.param_rank, out)
+    best, kept = None, {}
+    for key, c in flat_terms(f).items():
+        order = sum(wi * e for wi, e in zip(w, key))  # zip stops at the parameter part
+        if best is None or order < best:
+            best, kept = order, {}
+        if order == best:
+            kept[key] = c
+    return from_flat(f.rank, f.param_rank, kept)
 
 
 def restrict_model(f: LaurentPolynomial, keep) -> LaurentPolynomial:

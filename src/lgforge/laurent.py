@@ -18,13 +18,16 @@ arithmetic returns canonical values.  ``ParamPoly`` and
 ``LaurentPolynomial`` share one sparse kernel on their term maps:
 ``_sum_terms`` and ``_product_terms`` accumulate with no test for zero,
 and ``_canonicalize`` then drops the zeros and normalizes the scalars once,
-at the end.
+at the end.  Division, monomial inversion, direction limits, the parser's
+power budgets and the period kernel read one flat view instead:
+``flat_terms`` keys the terms by parameter exponents + torus exponents, as
+in Q[a^+-1, x^+-1], and ``from_flat`` groups them back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, neg, sub
 
 from . import geometry, intlinalg
 
@@ -153,14 +156,6 @@ class ParamPoly:
     def __neg__(self):
         return ParamPoly(self.rank, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self + (-other if isinstance(other, ParamPoly) else -_norm_scalar(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, ParamPoly):
             if other.rank != self.rank:
@@ -175,12 +170,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Fraction(_norm_scalar(other))
-        if other == 0:
-            raise ZeroDivisionError("division of parameter polynomial by zero")
-        return self * (1 / other)
-
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
             return self.rank == other.rank and self.terms == other.terms
@@ -193,17 +182,6 @@ class ParamPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def monomial_quotient(self, other: "ParamPoly"):
-        """Divide by a single-term ParamPoly; negative exponents allowed."""
-        if len(other.terms) != 1:
-            raise LaurentError("parameter denominator is not a monomial")
-        (dexp, dcoeff), = other.terms.items()
-        out = {
-            tuple(a - b for a, b in zip(e, dexp)): _norm_scalar(Fraction(c) / dcoeff)
-            for e, c in self.terms.items()
-        }
-        return ParamPoly.of(self.rank, out)
 
     def substitute(self, values: dict[int, Fraction], new_rank: int, index_map: dict[int, int]):
         """Assign rational values to a subset of parameters, reindex the rest."""
@@ -388,20 +366,13 @@ class LaurentPolynomial:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            if len(self.terms) != 1:
+            flat = flat_terms(self)
+            if len(flat) != 1:
                 raise LaurentError("negative power of a non-monomial Laurent polynomial")
-            (exp, coeff), = self.terms.items()
-            if isinstance(coeff, ParamPoly):
-                if len(coeff.terms) != 1:
-                    raise LaurentError("cannot invert a multi-term coefficient")
-                one = ParamPoly(self.param_rank, {(0,) * self.param_rank: 1})
-                inv_coeff = one.monomial_quotient(coeff)
-            else:
-                inv_coeff = _norm_scalar(Fraction(1) / coeff)
-            base = LaurentPolynomial(
-                self.rank, self.param_rank, {tuple(-e for e in exp): inv_coeff}
-            )
-            return base ** (-exponent)
+            (key, coeff), = flat.items()
+            key, coeff = tuple(map(neg, key)), _norm_scalar(Fraction(1) / coeff)
+            inverse = from_flat(self.rank, self.param_rank, {key: coeff})
+            return inverse if exponent == -1 else inverse ** -exponent
         result = LaurentPolynomial.one(self.rank, self.param_rank)
         base = self
         e = exponent
@@ -554,53 +525,63 @@ class NewtonPolytopeData:
         return f"NewtonPolytopeData(vertices={sorted(self.vertices)}, dim={self.dimension})"
 
 
+def flat_terms(f: LaurentPolynomial) -> dict:
+    """The terms of f in the ring Q[a^+-1, x^+-1]: keys are parameter exponents
+    followed by torus exponents, coefficients are rationals.  At parameter
+    rank 0 this is ``f.terms`` itself, not a copy."""
+    if not f.param_rank:
+        return f.terms
+    scalar_key = (0,) * f.param_rank
+    flat = {}
+    for exp, coeff in f.terms.items():
+        if isinstance(coeff, ParamPoly):
+            for pexp, c in coeff.terms.items():
+                flat[pexp + exp] = c
+        else:
+            flat[scalar_key + exp] = coeff
+    return flat
+
+
+def from_flat(rank: int, param_rank: int, flat: dict) -> LaurentPolynomial:
+    """Inverse of ``flat_terms`` for a zero-free map of canonical rationals.
+    At parameter rank 0 the map itself becomes the term map."""
+    if not param_rank:
+        return LaurentPolynomial(rank, 0, flat)
+    grouped: dict = {}
+    for key, c in flat.items():
+        grouped.setdefault(key[param_rank:], {})[key[:param_rank]] = c
+    terms = {exp: _param_value(param_rank, p) for exp, p in grouped.items()}
+    return LaurentPolynomial(rank, param_rank, terms)
+
+
 def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):
     """Exact quotient p/q in the Laurent ring, or None if q does not divide p.
 
-    Both arguments are shifted into the polynomial ring, then divided by the
-    single divisor with graded-lex leading terms; any nonzero remainder means
-    non-divisibility.
+    The division runs on the flat terms, in Q[a^+-1, x^+-1], where the
+    quotient is unique.  Both arguments are shifted into the polynomial ring,
+    then divided by the single divisor with graded-lex leading terms; any
+    nonzero remainder means non-divisibility.
     """
     p._check_compatible(q)
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return p
-    rank = p.rank
-
-    def shift_vector(poly):
-        return tuple(min(exp[i] for exp in poly.terms) for i in range(rank))
-
-    sp = shift_vector(p)
-    sq = shift_vector(q)
-    pterms = {tuple(e - s for e, s in zip(exp, sp)): c for exp, c in p.terms.items()}
-    qterms = {tuple(e - s for e, s in zip(exp, sq)): c for exp, c in q.terms.items()}
+    pflat, qflat = flat_terms(p), flat_terms(q)
+    sp = tuple(map(min, zip(*pflat)))
+    sq = tuple(map(min, zip(*qflat)))
+    remainder = {tuple(map(sub, key, sp)): c for key, c in pflat.items()}
+    qterms = {tuple(map(sub, key, sq)): c for key, c in qflat.items()}
 
     q_lead = min(qterms, key=grlex_key)
     q_lead_coeff = qterms[q_lead]
     quotient: dict = {}
-    remainder = dict(pterms)
     while remainder:
         lead = min(remainder, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(lead, q_lead))
+        diff = tuple(map(sub, lead, q_lead))
         if any(d < 0 for d in diff):
             return None
-        lead_coeff = remainder[lead]
-        if isinstance(q_lead_coeff, ParamPoly):
-            if len(q_lead_coeff.terms) != 1:
-                raise LaurentError(
-                    "division by a polynomial with a multi-term parameter leading"
-                    " coefficient is not supported"
-                )
-            if not isinstance(lead_coeff, ParamPoly):
-                lead_coeff = ParamPoly(
-                    q_lead_coeff.rank, ParamPoly.coerce(q_lead_coeff.rank, lead_coeff)
-                )
-            factor = lead_coeff.monomial_quotient(q_lead_coeff)
-        elif isinstance(lead_coeff, ParamPoly):
-            factor = lead_coeff / q_lead_coeff
-        else:
-            factor = _norm_scalar(Fraction(lead_coeff) / q_lead_coeff)
+        factor = _norm_scalar(Fraction(remainder[lead]) / q_lead_coeff)
         quotient[diff] = factor
         for qexp, qcoeff in qterms.items():
             target = tuple(map(add, diff, qexp))
@@ -609,6 +590,6 @@ def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):
                 remainder[target] = new
             else:
                 del remainder[target]
-    shift = tuple(a - b for a, b in zip(sp, sq))
-    out = {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in quotient.items()}
-    return LaurentPolynomial(rank, p.param_rank, out)
+    shift = tuple(map(sub, sp, sq))
+    out = {tuple(map(add, key, shift)): c for key, c in quotient.items()}
+    return from_flat(p.rank, p.param_rank, out)

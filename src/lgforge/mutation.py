@@ -9,12 +9,11 @@ piece is divisible by the corresponding power of the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from . import period
 from .laurent import LaurentError, LaurentPolynomial, ParamPoly, laurent_divide
-from .parsing import parse
+from .parsing import parse, rational
 
 
 class NotMutableError(LaurentError):
@@ -143,7 +142,7 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
                 steps.append(CoordStep(tuple(tuple(row) for row in raw["matrix"])))
             elif kind == "subst":
                 assign = tuple(
-                    (param_index(name), Fraction(value))
+                    (param_index(name), rational(value))
                     for name, value in raw["assign"].items()
                 )
                 steps.append(SubstStep(assign))
@@ -185,7 +184,7 @@ def _mismatch_text(witness) -> str:
     return f"first mismatch at degree {degree}: {expected} vs {got}"
 
 
-def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True) -> ChainReport:
+def run_chain(chain: MutationChain, order: int = 10) -> ChainReport:
     """Execute the chain, checking period preservation across each mutation.
 
     The period is carried from step to step: a mutation's resulting period
@@ -201,7 +200,7 @@ def run_chain(chain: MutationChain, order: int = 10, check_periods: bool = True)
             if isinstance(step, MutationStep):
                 new = mutate(current, step.data)
                 detail = ""
-                if check_periods and current.param_rank == 0:
+                if current.param_rank == 0:
                     before = series or period.period_coefficients(current, order)
                     series = period.period_coefficients(new, order)
                     witness = period.series_mismatch(before, series)

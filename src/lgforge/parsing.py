@@ -11,15 +11,17 @@ is not allowed.  Rational sub-expressions are accepted only when, after
 full expansion, every denominator is a single monomial; parsing then
 yields the expanded canonical Laurent polynomial.  A power is refused
 when it could expand past ``_POWER_BUDGET`` terms, or give a coefficient
-of more than ``_COEFF_BITS_BUDGET`` bits.
+of more than ``_COEFF_BITS_BUDGET`` bits, and parentheses may nest at most
+``_DEPTH_BUDGET`` levels deep.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, flat_terms
 
 
 class ExpressionError(LaurentError):
@@ -53,6 +55,8 @@ def _tokenize(text: str):
 _POWER_BUDGET = 2000
 # most bits that a power may give a numerator or denominator of a coefficient
 _COEFF_BITS_BUDGET = 2**18
+# most levels of nested parentheses, CPython's limit; each level takes four frames
+_DEPTH_BUDGET = 200
 
 
 def _power(base: LaurentPolynomial, e: int) -> LaurentPolynomial:
@@ -65,11 +69,7 @@ def _power(base: LaurentPolynomial, e: int) -> LaurentPolynomial:
     only grows with i, so the check stops at the first value over
     ``_POWER_BUDGET``.  A numerator or denominator n raised to |e| has at most
     |e|*ceil(log2 |n|) bits, checked against ``_COEFF_BITS_BUDGET``."""
-    scalars = [
-        q
-        for c in base.terms.values()
-        for q in (c.terms.values() if isinstance(c, ParamPoly) else (c,))
-    ]
+    scalars = flat_terms(base).values()
     bound = 1
     for i in range(1, len(scalars)):
         bound = bound * (abs(e) + i) // i
@@ -158,6 +158,7 @@ class _Parser:
         self.param_rank = param_rank
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -236,8 +237,12 @@ class _Parser:
         if kind == "name":
             return _Rat(self.named(value))
         if kind == "op" and value == "(":
+            if self.depth == _DEPTH_BUDGET:
+                raise ExpressionError(f"parentheses nested more than {_DEPTH_BUDGET} levels deep")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExpressionError(f"unexpected token {value!r} in {self.text!r}")
 
@@ -269,6 +274,18 @@ class _Parser:
                 self.rank, self.param_rank, {(0,) * self.rank: coeff}
             )
         raise ExpressionError(f"undeclared variable or parameter {name!r}")
+
+
+def rational(value) -> Fraction:
+    """An exact rational from JSON: an integer (not a bool) or a string such
+    as "-3/4".  Floats, which JSON reads inexactly, bools and zero
+    denominators raise ExpressionError."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ExpressionError(f"expected an integer or a string rational, got {value!r}")
 
 
 def parse(text: str, rank: int, param_rank: int = 0) -> LaurentPolynomial:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _norm_scalar
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _norm_scalar, flat_terms
 
 CLASSICAL = "classical"
 REGULARIZED = "regularized"
@@ -45,13 +45,7 @@ class PeriodSeries:
         return PeriodSeries(self.order, CLASSICAL, self.param_rank, coeffs)
 
     def render_list(self) -> list[str]:
-        out = []
-        for c in self.coefficients:
-            if isinstance(c, ParamPoly):
-                out.append(c.render(with_parens=False))
-            else:
-                out.append(str(c))
-        return out
+        return [str(c) for c in self.coefficients]
 
 
 def _packing(f: LaurentPolynomial, half: int):
@@ -62,17 +56,10 @@ def _packing(f: LaurentPolynomial, half: int):
     additive and pack(-v) = -pack(v); s makes 2^(s-1) exceed every digit
     of a pairing of two powers up to f^half.
     """
-    flat = []
-    for exp, coeff in f.terms.items():
-        if isinstance(coeff, ParamPoly):
-            flat.extend((p + exp, q) for p, q in coeff.terms.items())
-        else:
-            flat.append(((0,) * f.param_rank + exp, coeff))
-    bound = 2 * half * max((abs(v) for exp, _ in flat for v in exp), default=0)
+    flat = flat_terms(f)
+    bound = 2 * half * max((abs(v) for key in flat for v in key), default=0)
     s = bound.bit_length() + 1
-    packed = {
-        sum(v << (s * i) for i, v in enumerate(exp)): coeff for exp, coeff in flat
-    }
+    packed = {sum(v << (s * i) for i, v in enumerate(key)): c for key, c in flat.items()}
     return packed, s
 
 

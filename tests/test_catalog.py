@@ -124,6 +124,44 @@ def test_unparseable_model_names_entry(tmp_path):
              "min_support": [], "max_support": []},
             "'d' must give one rational per ray",
         ),
+        (
+            {"kind": "direction_degeneration_edge", "rays": [[1], [-1]], "d": [0.5, "0"],
+             "min_support": [], "max_support": []},
+            "'d' must give one rational per ray",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "direction": ["1/0"]},
+            "check 1 (parameter_limit_edge): 'direction' must be a list of rationals",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "direction": [0.5]},
+            "'direction' must be a list of rationals",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "subst": {"a1": 0.1}},
+            "check 1 (parameter_limit_edge): 'subst' must map parameter names to rationals",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "subst": {"a1": True}},
+            "'subst' must map parameter names to rationals",
+        ),
+        (
+            {"kind": "exact_equal", "left": {"param_model_at": {"a1": 0.1}}, "right": "x"},
+            "check 1 (exact_equal): 'param_model_at' in 'left' must map parameters of the entry",
+        ),
+        (
+            {"kind": "exact_equal", "left": "x", "right": {"param_model_at": {"a1": "1/0"}}},
+            "'param_model_at' in 'right' must map parameters of the entry",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": {"param_model_at": {"a2": "1"}}},
+            "'param_model_at' in 'expect' must map parameters of the entry",
+        ),
+        (
+            {"kind": "mutation_chain", "start": {"param_model_at": ["a1", 1]}, "steps": [],
+             "expected": "x"},
+            "'param_model_at' in 'start' must map parameters of the entry",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
@@ -132,6 +170,8 @@ def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
         "dim": 1,
         "picard_rank": 1,
         "model": None,
+        "params": ["a1"],
+        "param_model": "a1*x",
         "checks": [{"kind": "exact_equal", "left": "x", "right": "x"}, check],
     }
     path = tmp_path / "bad.json"

@@ -74,7 +74,7 @@ def test_subst(capsys):
     assert out.strip() == "x+y+1/(x*y)"
 
 
-@pytest.mark.parametrize("assign", ["a1", "a1=x", "a1=1=2", "b1=2", "a0=1", "a1=1/0"])
+@pytest.mark.parametrize("assign", ["a1", "a1=x", "a1=1=2", "b1=2", "a0=1", "a1=1/0", "a2=1"])
 def test_malformed_assignment_is_usage_error(capsys, assign):
     code = main(
         ["subst", "--rank", "2", "--params", "1", "--assign", assign, "x+y+a1/(x*y)"]
@@ -330,6 +330,8 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         [{"kind": "coords"}],
         [{"kind": "subst", "assign": {"b1": "1"}}],
         [{"kind": "subst", "assign": {"a1": "1/0"}}],
+        [{"kind": "subst", "assign": {"a1": 0.1}}],
+        [{"kind": "subst", "assign": {"a1": True}}],
         [{"kind": "twist", "w": [0, 1, 1]}],
         [{"w": [0, 1, 1], "a": "x+1"}],
         ["mutation"],
@@ -341,6 +343,8 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         "no-matrix",
         "bad-param-name",
         "zero-denominator",
+        "float-value",
+        "bool-value",
         "unknown-kind",
         "no-kind",
         "step-not-object",
@@ -353,6 +357,10 @@ def test_malformed_chain_file_is_load_error(capsys, tmp_path, steps):
     code = main(["chain", "--file", str(path), "(x+1)^2/(x*y*z)+y+z"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# parentheses nested five times deeper than the parser allows
+DEEP = "(" * 1000 + "x" + ")" * 1000
 
 
 def run_cold(args, timeout=60):
@@ -376,8 +384,23 @@ def run_cold(args, timeout=60):
         ({}, ["period", "--rank", "2", "x+*y"], 1),
         ({}, ["mutate", "--w", "1,0", "--rank", "2", "--a", "1+y", "1/x"], 1),
         ({"fan.json": P2_FAN}, ["toric", "qp", "--fan", "fan.json", "--n", "30000"], 1),
+        ({}, ["period", "--rank", "1", DEEP], 1),
+        (
+            {"catalog.json": [{"id": "deep", "dim": 1, "picard_rank": 1, "model": DEEP}]},
+            ["catalog", "list", "--catalog", "catalog.json"],
+            2,
+        ),
     ],
-    ids=["catalog-file", "chain-file", "fan-file", "expression", "not-mutable", "order-budget"],
+    ids=[
+        "catalog-file",
+        "chain-file",
+        "fan-file",
+        "expression",
+        "not-mutable",
+        "order-budget",
+        "deep-nesting",
+        "deep-catalog-model",
+    ],
 )
 def test_cold_process_exit_codes(tmp_path, files, args, code):
     for name, content in files.items():

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgforge import LaurentPolynomial, ParamPoly, parse
+from lgforge import (
+    LaurentPolynomial,
+    ParamPoly,
+    laurent_divide,
+    parameter_direction_limit,
+    parse,
+)
 from lgforge.laurent import LaurentError
 from lgforge.parsing import ExpressionError
 
@@ -392,6 +398,55 @@ def test_sum_and_product_match_naive_oracle(operands):
     constant = LaurentPolynomial.constant(c, f.rank, f.param_rank)
     assert flat_terms(f * c) == naive_product(f, constant)
     assert_canonical(f * c)
+
+
+@st.composite
+def division_operands(draw):
+    """A nonzero divisor q, a cofactor h and a perturbation m at a common
+    rank 1-4 and parameter rank 0-2; coefficients may be multi-term
+    parameter polynomials, also the leading one of q."""
+    rank = draw(st.integers(1, 4))
+    param_rank = draw(st.integers(0, 2))
+    q = draw(laurent_polys(rank, param_rank).filter(lambda f: not f.is_zero))
+    return q, draw(laurent_polys(rank, param_rank)), draw(laurent_polys(rank, param_rank))
+
+
+@settings(deadline=None, max_examples=150)
+@given(division_operands())
+def test_divide_inverts_the_product(operands):
+    q, h, m = operands
+    quotient = laurent_divide(q * h, q)
+    assert quotient == h
+    assert_canonical(quotient)
+    p = q * h + m
+    r = laurent_divide(p, q)
+    if r is not None:
+        assert q * r == p
+        assert_canonical(r)
+
+
+def test_divide_by_a_multi_term_parameter_leading_coefficient():
+    q = parse("(a1+a2)*x + a1*y - 1", 2, 2)
+    h = parse("x/a2 + (a1-a2)*y^2 + 3", 2, 2)
+    assert laurent_divide(q * h, q) == h
+    assert laurent_divide(q * h * q, q * q) == h
+    assert laurent_divide(q * h + 1, q) is None
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda r: st.tuples(laurent_polys(*r), st.tuples(*[st.integers(-2, 2)] * r[1]))
+    )
+)
+def test_direction_limit_keeps_the_flat_terms_of_least_order(operands):
+    f, direction = operands
+    flat = flat_terms(f)
+    order = {key: sum(w * e for w, e in zip(direction, key[0])) for key in flat}
+    least = min(order.values(), default=None)
+    limit = parameter_direction_limit(f, direction)
+    assert flat_terms(limit) == {key: c for key, c in flat.items() if order[key] == least}
+    assert_canonical(limit)
 
 
 @settings(deadline=None)

@@ -22,6 +22,7 @@ from lgforge.catalog import load_catalog, verify_entry
 from lgforge.laurent import LaurentPolynomial, ParamPoly
 from lgforge.parsing import (
     _COEFF_BITS_BUDGET,
+    _DEPTH_BUDGET,
     _POWER_BUDGET,
     ExpressionError,
     _power,
@@ -389,3 +390,10 @@ def test_coefficient_budget_boundary():
     assert parse("(-x)^1000000001", 1).terms == {(1000000001,): -1}
     # five parameter terms to the 12th: C(16, 4) flattened terms, within the budget
     assert len(parse("((a1+a2+a3+a4+a5)*x)^12", 1, 5).terms[(12,)].terms) == 1820
+
+
+def test_nesting_budget_boundary():
+    deep = "(" * _DEPTH_BUDGET + "x" + ")" * _DEPTH_BUDGET
+    assert parse(deep, 1) == parse("x", 1)
+    with pytest.raises(ExpressionError, match=f"more than {_DEPTH_BUDGET} levels deep"):
+        parse("(" + deep + ")", 1)
