@@ -26,7 +26,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from importlib import resources
 from itertools import repeat
@@ -34,8 +34,7 @@ from pathlib import Path
 
 from . import degeneration, mutation, period, toric
 from .laurent import LaurentError, LaurentPolynomial
-from .parsing import ExpressionError, parse, rational
-from .toric import _is_int
+from .parsing import parse, rational
 
 DEFAULT_ORDER = 10
 
@@ -48,8 +47,8 @@ _REQUIRED_KEYS = {
     "direction_degeneration_edge": ("rays", "d", "min_support", "max_support"),
     "toric_oracle": ("rays",),
 }
-# check kinds that read an optional series 'order'
-_ORDER_KINDS = ("period_match", "mutation_chain", "toric_oracle")
+# payload keys that hold an expression: a string, or {"param_model_at": {...}}
+_EXPRESSION_KEYS = ("left", "right", "source", "target", "start", "expected", "expect")
 
 
 class CatalogError(ValueError):
@@ -58,12 +57,12 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class Check:
+    """One declared check.  ``payload`` is its JSON form; ``args`` holds
+    the payload's values converted, at load, to what the check runs on."""
+
     kind: str
     payload: dict
-
-    def __post_init__(self):
-        if self.kind not in _REQUIRED_KEYS:
-            raise CatalogError(f"unknown check kind {self.kind!r}")
+    args: dict = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,12 @@ class CatalogEntry:
     id: str
     dim: int
     picard_rank: int
-    model: str | None
-    params: tuple[str, ...]
-    param_model: str | None
-    modulo_constant: bool
-    geometric_only: bool
-    checks: tuple[Check, ...]
+    model: str | None = None
+    params: tuple[str, ...] = ()
+    param_model: str | None = None
+    modulo_constant: bool = False
+    geometric_only: bool = False
+    checks: tuple[Check, ...] = ()
     notes: str = ""
 
     @property
@@ -133,7 +132,59 @@ class EntryReport:
     error: str = ""
 
 
-def _check_from_json(index: int, raw, params: tuple[str, ...]) -> Check:
+def _typed(kind: type, value):
+    """A JSON value of the given type; a bool is not an int."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+
+
+_bool, _int, _str = (partial(_typed, kind) for kind in (bool, int, str))
+
+
+def _count(value) -> int:
+    if _int(value) < 0:
+        raise ValueError(f"got {value}")
+    return value
+
+
+def _vector(value, read, length=None) -> tuple:
+    """A JSON list read item by item, of the given length if one is set."""
+    out = tuple(map(read, _typed(list, value)))
+    if length not in (None, len(out)):
+        raise ValueError(f"{len(out)} items, expected {length}")
+    return out
+
+
+def _param_index(params: tuple[str, ...], name) -> int:
+    if name not in params:
+        raise ValueError(f"no parameter {name!r}")
+    return params.index(name)
+
+
+def _assignment(value, params: tuple[str, ...]) -> dict[int, Fraction]:
+    """{parameter name: rational} as {parameter index: Fraction}."""
+    return {_param_index(params, name): rational(x) for name, x in _typed(dict, value).items()}
+
+
+def _read(raw: dict, readers: dict) -> dict:
+    """The values of ``raw`` under the keys of ``readers``, each through its
+    reader; a value that its reader refuses, or a key with no reader, is a
+    CatalogError."""
+    unknown = raw.keys() - readers.keys()
+    if unknown:
+        raise CatalogError(f"unknown key {min(unknown)!r}")
+    out = {}
+    for key, (reader, message) in readers.items():
+        if key in raw:
+            try:
+                out[key] = reader(raw[key])
+            except (LookupError, TypeError, ValueError) as err:
+                raise CatalogError(f"{message} ({err})") from None
+    return out
+
+
+def _check_from_json(index: int, raw, dim: int, params: tuple[str, ...]) -> Check:
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in _REQUIRED_KEYS:
         raise CatalogError(f"check {index}: unknown check kind {kind!r}")
@@ -144,79 +195,85 @@ def _check_from_json(index: int, raw, params: tuple[str, ...]) -> Check:
             missing = " or ".join(repr(k) for k in options)
             raise CatalogError(f"check {index} ({kind}): missing key {missing}")
     label = f"check {index} ({kind})"
-    if "rays" in _REQUIRED_KEYS[kind]:
-        _check_fan_payload(label, payload)
-    order = payload.get("order", 0)
-    if kind in _ORDER_KINDS and not (_is_int(order) and order >= 0):
-        raise CatalogError(f"{label}: 'order' must be a non-negative integer")
-    if kind == "parameter_limit_edge":
-        direction, subst = payload.get("direction", []), payload.get("subst", {})
-        if not (isinstance(direction, list) and all(map(_is_rational, direction))):
-            raise CatalogError(f"{label}: 'direction' must be a list of rationals")
-        if not (isinstance(subst, dict) and all(map(_is_rational, subst.values()))):
-            raise CatalogError(f"{label}: 'subst' must map parameter names to rationals")
-    for key, spec in payload.items():
-        assign = spec.get("param_model_at", {}) if isinstance(spec, dict) else {}
-        if not (
-            isinstance(assign, dict)
-            and set(assign) <= set(params)
-            and all(map(_is_rational, assign.values()))
-        ):
-            raise CatalogError(
-                f"{label}: 'param_model_at' in {key!r} must map parameters of the entry"
-                " to rationals"
-            )
-    return Check(kind, payload)
 
+    def expression(spec):
+        if isinstance(spec, dict) and "param_model_at" in spec:
+            return _assignment(spec["param_model_at"], params)
+        return _str(spec)
 
-def _is_rational(x) -> bool:
+    def support(value):
+        return set(_vector(value, lambda ray: _vector(ray, _int)))
+
+    index_of = partial(_param_index, params)
+    readers = {
+        key: (
+            expression,
+            f"'param_model_at' in {key!r} must map parameters of the entry to rationals,"
+            f" or {key!r} must be a string",
+        )
+        for key in _EXPRESSION_KEYS
+    }
+    readers.update(
+        modulo_constant=(_bool, "'modulo_constant' must be true or false"),
+        match_model=(_bool, "'match_model' must be true or false"),
+        target_id=(_str, "'target_id' must be an entry id"),
+        expect_id=(_str, "'expect_id' must be an entry id"),
+        order=(_count, "'order' must be a non-negative integer"),
+        rays=(
+            lambda rays: toric.FanData(len(_typed(list, rays)[0]), rays),
+            "'rays' must be a non-empty list of equal-length integer vectors that span a fan",
+        ),
+        d=(
+            lambda d: _vector(d, rational, len(payload["rays"])),
+            "'d' must give one rational per ray",
+        ),
+        direction=(lambda d: _vector(d, rational), "'direction' must be a list of rationals"),
+        subst=(lambda s: _assignment(s, params), "'subst' must map parameter names to rationals"),
+        dying=(lambda names: _vector(names, index_of), "'dying' must list parameters of the entry"),
+        fibre_weight=(
+            lambda w: _vector(w, _int, dim), "'fibre_weight' must give one integer per variable"
+        ),
+        min_support=(support, "'min_support' must be a list of integer vectors"),
+        max_support=(support, "'max_support' must be a list of integer vectors"),
+        steps=(
+            lambda s: mutation.chain_steps_from_json(s, dim, len(params), index_of),
+            "'steps' must be a valid chain",
+        ),
+    )
     try:
-        rational(x)
-    except ExpressionError:
-        return False
-    return True
+        return Check(kind, payload, _read(payload, readers))
+    except CatalogError as err:
+        raise CatalogError(f"{label}: {err}") from None
 
 
-def _check_fan_payload(label: str, payload: dict):
-    """'rays' is a non-empty list of equal-length integer vectors, and 'd',
-    when present, gives one rational (an int or a string) per ray."""
-    rays = payload["rays"]
-    if not (
-        isinstance(rays, list)
-        and rays
-        and all(
-            isinstance(r, list) and r and len(r) == len(rays[0]) and all(map(_is_int, r))
-            for r in rays
-        )
-    ):
-        raise CatalogError(
-            f"{label}: 'rays' must be a non-empty list of equal-length integer vectors"
-        )
-    d = payload.get("d")
-    if "d" in payload and not (
-        isinstance(d, list) and len(d) == len(rays) and all(map(_is_rational, d))
-    ):
-        raise CatalogError(f"{label}: 'd' must give one rational per ray")
+def _optional_str(value) -> str | None:
+    return value if value is None else _str(value)
+
+
+# entry keys with their readers; an absent key takes the CatalogEntry default
+_ENTRY_READERS = {
+    "id": (_str, "'id' must be a string"),
+    "dim": (_count, "'dim' must be a non-negative integer"),
+    "picard_rank": (_count, "'picard_rank' must be a non-negative integer"),
+    "model": (_optional_str, "'model' must be a string or null"),
+    "params": (lambda p: _vector(p, _str), "'params' must be a list of strings"),
+    "param_model": (_optional_str, "'param_model' must be a string or null"),
+    "modulo_constant": (_bool, "'modulo_constant' must be true or false"),
+    "geometric_only": (_bool, "'geometric_only' must be true or false"),
+    "checks": (partial(_typed, list), "'checks' must be a list"),
+    "notes": (_str, "'notes' must be a string"),
+}
 
 
 def _entry_from_json(raw: dict) -> CatalogEntry:
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     try:
-        params = tuple(raw.get("params", ()))
-        checks = [_check_from_json(i, c, params) for i, c in enumerate(raw.get("checks", ()))]
-        entry = CatalogEntry(
-            id=raw["id"],
-            dim=int(raw["dim"]),
-            picard_rank=int(raw["picard_rank"]),
-            model=raw.get("model"),
-            params=params,
-            param_model=raw.get("param_model"),
-            modulo_constant=bool(raw.get("modulo_constant", False)),
-            geometric_only=bool(raw.get("geometric_only", False)),
-            checks=tuple(checks),
-            notes=raw.get("notes", ""),
-        )
+        fields = _read(raw, _ENTRY_READERS)
+        dim, params = raw["dim"], fields.get("params", ())
+        checks = enumerate(fields.get("checks", ()))
+        fields["checks"] = tuple(_check_from_json(i, c, dim, params) for i, c in checks)
+        entry = CatalogEntry(**fields)
     except (KeyError, TypeError, ValueError) as err:
         raise CatalogError(f"entry {raw.get('id', '?')!r}: {err}") from err
     # the declared polynomials must parse at the declared ranks; the parsed
@@ -227,11 +284,16 @@ def _entry_from_json(raw: dict) -> CatalogEntry:
         except LaurentError as err:
             raise CatalogError(f"entry {entry.id!r}: {label} does not parse: {err}") from err
     for index, check in enumerate(entry.checks):
-        if check.kind == "period_match" and entry.model is None and "source" not in check.payload:
-            raise CatalogError(
-                f"entry {entry.id!r}: check {index} (period_match): missing key 'source',"
-                " and the entry has no model"
-            )
+        label = f"entry {entry.id!r}: check {index} ({check.kind})"
+        if check.kind == "period_match" and entry.model is None and "source" not in check.args:
+            raise CatalogError(f"{label}: missing key 'source', and the entry has no model")
+        if check.args.get("match_model") and entry.model is None:
+            raise CatalogError(f"{label}: 'match_model' is set, and the entry has no model")
+        if entry.param_model is None and (
+            check.kind == "parameter_limit_edge"
+            or any(isinstance(check.args.get(key), dict) for key in _EXPRESSION_KEYS)
+        ):
+            raise CatalogError(f"{label}: the entry has no param_model")
     return entry
 
 
@@ -252,6 +314,15 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise CatalogError(f"duplicate entry ids: {dupes}")
+    with_model = {e.id for e in entries if e.model is not None}
+    for e in entries:
+        for index, check in enumerate(e.checks):
+            target = check.args.get("target_id", check.args.get("expect_id"))
+            if target is not None and target not in with_model:
+                raise CatalogError(
+                    f"entry {e.id!r}: check {index} ({check.kind}): no entry {target!r}"
+                    " with a model"
+                )
     return sorted(entries, key=lambda e: e.id)
 
 
@@ -271,29 +342,14 @@ class _Resolver:
         return _strip_params(model)
 
     def expr(self, entry: CatalogEntry, spec, rank=None) -> LaurentPolynomial:
-        """An expression spec: a string, or {"param_model_at": {...}}."""
+        """An expression: a string, or a {parameter index: value} assignment
+        to the entry's param_model."""
         rank = entry.rank if rank is None else rank
         if isinstance(spec, str):
             if spec == entry.model and rank == entry.rank:
                 return _drop_unused_params(entry.parse_model)
             return _drop_unused_params(parse(spec, rank, entry.param_rank))
-        if isinstance(spec, dict) and "param_model_at" in spec:
-            f = entry.parse_param_model
-            if f is None:
-                raise CatalogError(f"entry {entry.id!r} has no param_model")
-            assign = {
-                _param_index(entry, name): rational(value)
-                for name, value in spec["param_model_at"].items()
-            }
-            return f.substitute_parameters(assign)
-        raise CatalogError(f"bad expression spec {spec!r}")
-
-
-def _param_index(entry: CatalogEntry, name: str) -> int:
-    try:
-        return entry.params.index(name)
-    except ValueError:
-        raise CatalogError(f"entry {entry.id!r} has no parameter {name!r}") from None
+        return entry.parse_param_model.substitute_parameters(spec)
 
 
 def _strip_params(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -312,10 +368,9 @@ def _drop_unused_params(f: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def _run_exact_equal(entry, check, resolver, order) -> CheckReport:
-    left = resolver.expr(entry, check.payload["left"])
-    right = resolver.expr(entry, check.payload["right"])
-    modulo = check.payload.get("modulo_constant", False)
-    if modulo:
+    left = resolver.expr(entry, check.args["left"])
+    right = resolver.expr(entry, check.args["right"])
+    if check.args.get("modulo_constant", False):
         left = left - LaurentPolynomial.constant(left.constant_term(), left.rank, left.param_rank)
         right = right - LaurentPolynomial.constant(right.constant_term(), right.rank, right.param_rank)
     ok = left == right
@@ -324,21 +379,17 @@ def _run_exact_equal(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_period_match(entry, check, resolver, order) -> CheckReport:
-    n = check.payload.get("order", order)
-    source_spec = check.payload.get("source")
-    source = (
-        resolver.expr(entry, source_spec)
-        if source_spec is not None
-        else entry.parse_model
-    )
+    args = check.args
+    n = args.get("order", order)
+    source = resolver.expr(entry, args["source"]) if "source" in args else entry.parse_model
     source = _strip_params(source)
-    if "target_id" in check.payload:
-        target = resolver.model_of(check.payload["target_id"])
-        label = check.payload["target_id"]
+    if "target_id" in args:
+        target = resolver.model_of(args["target_id"])
+        label = args["target_id"]
     else:
-        target = _strip_params(resolver.expr(entry, check.payload["target"]))
+        target = _strip_params(resolver.expr(entry, args["target"]))
         label = "expression"
-    modulo = check.payload.get("modulo_constant", entry.modulo_constant)
+    modulo = args.get("modulo_constant", entry.modulo_constant)
     witness = period.first_period_mismatch(source, target, n)
     if witness is not None:
         degree, expected, got = witness
@@ -360,17 +411,12 @@ def _run_period_match(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
-    n = check.payload.get("order", order)
-    start = resolver.expr(entry, check.payload["start"])
-    steps = mutation.chain_steps_from_json(
-        check.payload["steps"],
-        entry.rank,
-        entry.param_rank,
-        lambda name: _param_index(entry, name),
-    )
-    expected = resolver.expr(entry, check.payload["expected"])
-    modulo = check.payload.get("modulo_constant", entry.modulo_constant)
-    chain = mutation.MutationChain(start, steps)
+    args = check.args
+    n = args.get("order", order)
+    start = resolver.expr(entry, args["start"])
+    expected = resolver.expr(entry, args["expected"])
+    modulo = args.get("modulo_constant", entry.modulo_constant)
+    chain = mutation.MutationChain(start, args["steps"])
     report = mutation.verify_chain(chain, expected, order=n, modulo_constant=modulo)
     if report.ok:
         return CheckReport("mutation_chain", True, report.detail)
@@ -381,36 +427,31 @@ def _run_mutation_chain(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
+    args = check.args
     f = entry.parse_param_model
-    if f is None:
-        raise CatalogError(f"entry {entry.id!r} has no param_model")
-    payload = check.payload
-    if "direction" in payload:
-        direction = [rational(x) for x in payload["direction"]]
-        f = degeneration.parameter_direction_limit(f, direction)
-    if payload.get("dying"):
-        dying = [_param_index(entry, name) for name in payload["dying"]]
+    if "direction" in args:
+        f = degeneration.parameter_direction_limit(f, args["direction"])
+    dying = args.get("dying", ())
+    if dying:
         f = degeneration.parameter_limit(f, dying)
     if f.param_rank:
         # remaining parameters keep their relative order; default assignment 1
-        subst = payload.get("subst", {})
-        survivors = [n for n in entry.params if n not in payload.get("dying", ())]
-        values = {
-            idx: rational(subst.get(name, 1))
-            for idx, name in enumerate(survivors[: f.param_rank])
-        }
-        f = f.substitute_parameters(values)
-    if "fibre_weight" in payload:
-        w = tuple(int(x) for x in payload["fibre_weight"])
+        subst = args.get("subst", {})
+        survivors = [i for i in range(entry.param_rank) if i not in dying]
+        f = f.substitute_parameters(
+            {new: subst.get(old, 1) for new, old in enumerate(survivors[: f.param_rank])}
+        )
+    if "fibre_weight" in args:
+        w = args["fibre_weight"]
         pieces = f.graded_pieces(w)
         f = pieces.get(0, LaurentPolynomial.zero(f.rank, f.param_rank))
         axes = [i for i, x in enumerate(w) if x != 0]
         if len(axes) == 1 and abs(w[axes[0]]) == 1:
             f = f.drop_coordinate(axes[0])
-    if "expect_id" in payload:
-        expected = resolver.model_of(payload["expect_id"])
+    if "expect_id" in args:
+        expected = resolver.model_of(args["expect_id"])
     else:
-        expected = resolver.expr(entry, payload["expect"], rank=f.rank)
+        expected = resolver.expr(entry, args["expect"], rank=f.rank)
     expected = _strip_params(expected)
     ok = f == expected
     return CheckReport(
@@ -421,31 +462,25 @@ def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
 
 
 def _run_direction_degeneration_edge(entry, check, resolver, order) -> CheckReport:
-    fan = toric.FanData(
-        rank=len(check.payload["rays"][0]),
-        rays=tuple(tuple(r) for r in check.payload["rays"]),
-    )
-    d = [rational(x) for x in check.payload["d"]]
-    result = degeneration.direction_degeneration(degeneration.DivisorOnFan(fan, tuple(d)))
+    args = check.args
+    fan = args["rays"]
+    result = degeneration.direction_degeneration(degeneration.DivisorOnFan(fan, args["d"]))
     got_min = set(result.min_rays(fan))
     got_max = set(result.max_rays(fan))
-    want_min = {tuple(r) for r in check.payload["min_support"]}
-    want_max = {tuple(r) for r in check.payload["max_support"]}
+    want_min, want_max = args["min_support"], args["max_support"]
     ok = got_min == want_min and got_max == want_max
     detail = "" if ok else f"min {sorted(got_min)} vs {sorted(want_min)}; max {sorted(got_max)} vs {sorted(want_max)}"
     return CheckReport("direction_degeneration_edge", ok, detail)
 
 
 def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
-    fan = toric.FanData(
-        rank=len(check.payload["rays"][0]),
-        rays=tuple(tuple(r) for r in check.payload["rays"]),
-    )
-    n = check.payload.get("order", 8)
+    fan = check.args["rays"]
+    n = check.args.get("order", 8)
     cg = toric.class_group(fan)
     model = toric.toric_pair_model(fan, cg)
-    direct = period.period_coefficients(model, n, period.REGULARIZED)
+    # the monoid series enforces the order budget, so it runs before the powering
     combinatorial = toric.toric_quantum_period(fan, cg, n)
+    direct = period.period_coefficients(model, n, period.REGULARIZED)
     witness = period.series_mismatch(direct, combinatorial)
     if witness is not None:
         mismatch = witness[0]
@@ -456,7 +491,7 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
             witness_degree=mismatch,
         )
     detail = f"oracle agreement to order {n}"
-    if check.payload.get("match_model", False):
+    if check.args.get("match_model", False):
         specialized = _strip_params(model)
         target = _strip_params(entry.parse_model)
         if specialized != target:

@@ -373,12 +373,12 @@ class LaurentPolynomial:
             key, coeff = tuple(map(neg, key)), _norm_scalar(Fraction(1) / coeff)
             inverse = from_flat(self.rank, self.param_rank, {key: coeff})
             return inverse if exponent == -1 else inverse ** -exponent
-        result = LaurentPolynomial.one(self.rank, self.param_rank)
-        base = self
-        e = exponent
+        if exponent == 0:
+            return LaurentPolynomial.one(self.rank, self.param_rank)
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base

@@ -126,7 +126,8 @@ class ChainFormatError(LaurentError):
 def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -> tuple:
     """Chain steps from their JSON form, for polynomials of the given ranks.
 
-    ``param_index`` maps a parameter name to its index.  A malformed step
+    ``param_index`` maps a parameter name to its index.  Each subst step
+    lowers the parameter rank that the later steps see.  A malformed step
     raises ChainFormatError naming the step.
     """
     if not isinstance(steps_json, list):
@@ -141,16 +142,19 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
             elif kind == "coords":
                 steps.append(CoordStep(tuple(tuple(row) for row in raw["matrix"])))
             elif kind == "subst":
-                assign = tuple(
-                    (param_index(name), rational(value))
-                    for name, value in raw["assign"].items()
-                )
-                steps.append(SubstStep(assign))
+                assign = {}
+                for name, value in raw["assign"].items():
+                    i = param_index(name)
+                    if not 0 <= i < param_rank:
+                        raise ValueError(f"no parameter {name!r} at parameter rank {param_rank}")
+                    assign[i] = rational(value)
+                steps.append(SubstStep(tuple(assign.items())))
+                param_rank -= len(assign)
             else:
                 raise ChainFormatError(f"unknown step kind {kind!r}")
         except KeyError as err:
             raise ChainFormatError(f"chain step {index}: missing key {err}") from err
-        except (TypeError, ValueError, ZeroDivisionError) as err:
+        except (TypeError, ValueError) as err:
             raise ChainFormatError(f"chain step {index}: {err}") from err
     return tuple(steps)
 

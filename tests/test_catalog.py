@@ -162,6 +162,60 @@ def test_unparseable_model_names_entry(tmp_path):
              "expected": "x"},
             "'param_model_at' in 'start' must map parameters of the entry",
         ),
+        (
+            {"kind": "toric_oracle", "rays": [[2, 0], [0, 1], [-1, -1]]},
+            "check 1 (toric_oracle): 'rays' must be a non-empty list of equal-length integer"
+            " vectors that span a fan (ray (2, 0) is not primitive)",
+        ),
+        (
+            {"kind": "toric_oracle", "rays": [[1, 0], [-1, 0]]},
+            "(rays do not span the ambient lattice)",
+        ),
+        (
+            {"kind": "direction_degeneration_edge", "rays": [[1], [-1]], "d": ["1", "0"],
+             "min_support": 5, "max_support": []},
+            "check 1 (direction_degeneration_edge): 'min_support' must be a list of integer vectors",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "fibre_weight": ["u", 1]},
+            "check 1 (parameter_limit_edge): 'fibre_weight' must give one integer per variable",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "dying": ["a7"]},
+            "'dying' must list parameters of the entry (no parameter 'a7')",
+        ),
+        (
+            {"kind": "mutation_chain", "start": "x", "expected": "x",
+             "steps": [{"kind": "subst", "assign": {"a1": 0.1}}]},
+            "check 1 (mutation_chain): 'steps' must be a valid chain (chain step 0: expected"
+            " an integer or a string rational, got 0.1)",
+        ),
+        (
+            {"kind": "mutation_chain", "start": "x", "expected": "x",
+             "steps": [{"kind": "mutation", "a": "1"}]},
+            "(chain step 0: missing key 'w')",
+        ),
+        (
+            {"kind": "exact_equal", "left": "x+1", "right": "x", "modulo_constant": "no"},
+            "check 1 (exact_equal): 'modulo_constant' must be true or false",
+        ),
+        (
+            {"kind": "period_match", "source": "x", "target_id": "nope"},
+            "check 1 (period_match): no entry 'nope' with a model",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect_id": "bad-check"},
+            "check 1 (parameter_limit_edge): no entry 'bad-check' with a model",
+        ),
+        (
+            {"kind": "toric_oracle", "rays": [[1], [-1]], "match_model": True},
+            "check 1 (toric_oracle): 'match_model' is set, and the entry has no model",
+        ),
+        # a misspelt flag must not be ignored
+        (
+            {"kind": "exact_equal", "left": "x+1", "right": "x", "modulo_constnat": True},
+            "check 1 (exact_equal): unknown key 'modulo_constnat'",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
@@ -177,6 +231,50 @@ def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([entry]), encoding="utf-8")
     with pytest.raises(CatalogError, match="bad-check") as err:
+        load_catalog(path)
+    assert message in str(err.value)
+    code = main(["catalog", "verify", "--catalog", str(path), "--threads", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"dim": 2.9}, "entry 'bad-entry': 'dim' must be a non-negative integer"),
+        ({"picard_rank": "1"}, "'picard_rank' must be a non-negative integer"),
+        ({"params": "a1"}, "'params' must be a list of strings"),
+        # a string flag must not read as true: the target is the source + 1
+        (
+            {"modulo_constant": "false",
+             "checks": [{"kind": "period_match", "source": "x+1/x", "target": "x+1/x+1"}]},
+            "entry 'bad-entry': 'modulo_constant' must be true or false",
+        ),
+        ({"geometric_only": "no"}, "'geometric_only' must be true or false"),
+        ({"model": 5}, "'model' must be a string or null"),
+        ({"modulo_constnat": True}, "entry 'bad-entry': unknown key 'modulo_constnat'"),
+        (
+            {"param_model": None,
+             "checks": [{"kind": "exact_equal", "left": {"param_model_at": {"a1": "1"}},
+                         "right": "x"}]},
+            "check 0 (exact_equal): the entry has no param_model",
+        ),
+    ],
+)
+def test_entry_fields_validated_at_load(tmp_path, capsys, fields, message):
+    entry = {
+        "id": "bad-entry",
+        "dim": 1,
+        "picard_rank": 1,
+        "model": "x+1/x",
+        "params": ["a1"],
+        "param_model": "a1*x",
+        "checks": [],
+        **fields,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match="bad-entry") as err:
         load_catalog(path)
     assert message in str(err.value)
     code = main(["catalog", "verify", "--catalog", str(path), "--threads", "1"])

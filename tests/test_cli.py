@@ -332,6 +332,7 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         [{"kind": "subst", "assign": {"a1": "1/0"}}],
         [{"kind": "subst", "assign": {"a1": 0.1}}],
         [{"kind": "subst", "assign": {"a1": True}}],
+        [{"kind": "subst", "assign": {"a5": "1"}}],
         [{"kind": "twist", "w": [0, 1, 1]}],
         [{"w": [0, 1, 1], "a": "x+1"}],
         ["mutation"],
@@ -345,6 +346,7 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         "zero-denominator",
         "float-value",
         "bool-value",
+        "param-past-rank",
         "unknown-kind",
         "no-kind",
         "step-not-object",
@@ -390,6 +392,12 @@ def run_cold(args, timeout=60):
             ["catalog", "list", "--catalog", "catalog.json"],
             2,
         ),
+        (
+            {"catalog.json": [{"id": "P2", "dim": 2, "picard_rank": 1, "checks": [
+                {"kind": "toric_oracle", "rays": P2_FAN["rays"], "order": 1001}]}]},
+            ["catalog", "verify", "--catalog", "catalog.json", "--threads", "1"],
+            1,
+        ),
     ],
     ids=[
         "catalog-file",
@@ -400,6 +408,7 @@ def run_cold(args, timeout=60):
         "order-budget",
         "deep-nesting",
         "deep-catalog-model",
+        "toric-oracle-order-budget",
     ],
 )
 def test_cold_process_exit_codes(tmp_path, files, args, code):
