@@ -121,6 +121,7 @@ class CheckReport:
     ok: bool
     detail: str = ""
     witness_degree: int | None = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -524,10 +525,12 @@ def verify_entry(
     start = time.perf_counter()
     report = EntryReport(entry_id=entry.id, ok=True)
     for check in entry.checks:
+        check_start = time.perf_counter()
         try:
             result = _RUNNERS[check.kind](entry, check, resolver, order)
         except (LaurentError, CatalogError) as err:
             result = CheckReport(check.kind, False, f"error: {err}")
+        result.seconds = time.perf_counter() - check_start
         report.checks.append(result)
         if not result.ok:
             report.ok = False

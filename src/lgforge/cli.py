@@ -406,6 +406,7 @@ def cmd_catalog_verify(args):
                         "ok": c.ok,
                         "detail": c.detail,
                         "witness_degree": c.witness_degree,
+                        "seconds": round(c.seconds, 4),
                     }
                     for c in r.checks
                 ],

@@ -123,6 +123,14 @@ class ChainFormatError(LaurentError):
     """A chain step in JSON form is malformed."""
 
 
+def _json_ints(values, name: str) -> tuple:
+    """A JSON list of integers as a tuple; floats and booleans are refused."""
+    values = tuple(values)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name!r} must hold JSON integers, got {list(values)}")
+    return values
+
+
 def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -> tuple:
     """Chain steps from their JSON form, for polynomials of the given ranks.
 
@@ -138,9 +146,9 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
             kind = raw["kind"]
             if kind == "mutation":
                 factor = parse(raw["a"], rank, param_rank)
-                steps.append(MutationStep(MutationData(tuple(raw["w"]), factor)))
+                steps.append(MutationStep(MutationData(_json_ints(raw["w"], "w"), factor)))
             elif kind == "coords":
-                steps.append(CoordStep(tuple(tuple(row) for row in raw["matrix"])))
+                steps.append(CoordStep(tuple(_json_ints(row, "matrix") for row in raw["matrix"])))
             elif kind == "subst":
                 assign = {}
                 for name, value in raw["assign"].items():

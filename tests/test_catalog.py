@@ -216,6 +216,12 @@ def test_unparseable_model_names_entry(tmp_path):
             {"kind": "exact_equal", "left": "x+1", "right": "x", "modulo_constnat": True},
             "check 1 (exact_equal): unknown key 'modulo_constnat'",
         ),
+        # a float weight must not be truncated to an integer
+        (
+            {"kind": "mutation_chain", "start": "x", "expected": "x",
+             "steps": [{"kind": "mutation", "w": [1.5], "a": "1"}]},
+            "(chain step 0: 'w' must hold JSON integers, got [1.5])",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
@@ -359,6 +365,40 @@ def test_failing_chain_check_has_witness_degree(tmp_path):
     bad = [c for c in report.checks if c.kind == "mutation_chain" and not c.ok]
     assert bad and bad[0].witness_degree is not None
     assert f"first mismatch at degree {bad[0].witness_degree}: " in bad[0].detail
+
+
+def test_period_match_failure_witness_is_pinned(tmp_path):
+    """The streamed comparison reports the witness that comparing the full
+    periods gave: the term x^2*y/2 first pairs to a constant in degree 4,
+    and the shift 1/3 is fractional."""
+    entry = {
+        "id": "pinned-witness",
+        "dim": 2,
+        "picard_rank": 2,
+        "model": "x+1/x+y+1/y",
+        "checks": [{"kind": "period_match", "target": "x+1/x+y+1/y+x^2*y/2+1/3", "order": 8}],
+    }
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (check,) = verify_entry(load_catalog(path)[0], 10).checks
+    assert (check.ok, check.witness_degree, check.detail) == (
+        False,
+        4,
+        "period differs from expression first at degree 4 (3133/81 vs 3619/81)",
+    )
+
+
+def test_checks_report_their_seconds(entries, capsys):
+    """Each check is timed; the timing is not part of a report's equality."""
+    report = verify_entry(next(e for e in entries if e.id == "MM-2.5"), 10, entries)
+    assert len(report.checks) > 1
+    assert all(c.seconds > 0 for c in report.checks)
+    assert sum(c.seconds for c in report.checks) <= report.seconds
+    assert replace(report.checks[0], seconds=-1.0) == report.checks[0]
+    code = main(["catalog", "verify", "--id", "MM-2.5", "--n", "6", "--threads", "1", "--json"])
+    assert code == 0
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert [type(c["seconds"]) for c in entry["checks"]] == [float] * len(report.checks)
 
 
 def test_checks_share_the_parsed_models_without_changing_them(monkeypatch):

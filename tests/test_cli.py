@@ -337,6 +337,9 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         [{"w": [0, 1, 1], "a": "x+1"}],
         ["mutation"],
         {"kind": "mutation", "w": [0, 1, 1], "a": "x+1"},
+        [{"kind": "mutation", "w": [0, 1.5, 1], "a": "x+1"}],
+        [{"kind": "mutation", "w": [0, True, 1], "a": "x+1"}],
+        [{"kind": "coords", "matrix": [[1, 0, 0], [0, 1.7, 0], [0, 0, 1]]}],
     ],
     ids=[
         "no-w",
@@ -351,6 +354,9 @@ def test_chain_file_mutation_after_subst(capsys, tmp_path):
         "no-kind",
         "step-not-object",
         "not-a-list",
+        "float-weight",
+        "bool-weight",
+        "float-matrix",
     ],
 )
 def test_malformed_chain_file_is_load_error(capsys, tmp_path, steps):

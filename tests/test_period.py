@@ -1,7 +1,10 @@
 """Period series, the constant-shift relation, and period comparisons."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -176,18 +179,19 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bo
 
 
 @st.composite
-def polys_of_rank_1_to_4(draw, param_rank=0):
+def polys_of_rank_1_to_4(draw, param_rank=0, scalars=rationals):
     """Up to five terms with exponents in [-2, 2]; with parameters, each
-    coefficient is a parameter polynomial that may invert a parameter."""
+    coefficient is a parameter polynomial that may invert a parameter.
+    Rational coefficients are drawn from ``scalars``."""
     rank = draw(st.integers(1, 4))
     exponent = st.tuples(*[st.integers(-2, 2)] * rank)
     if param_rank:
         param_exponent = st.tuples(*[st.integers(-1, 2)] * param_rank)
-        coeff = st.dictionaries(param_exponent, rationals, min_size=1, max_size=3).map(
+        coeff = st.dictionaries(param_exponent, scalars, min_size=1, max_size=3).map(
             lambda terms: ParamPoly.of(param_rank, terms)
         )
     else:
-        coeff = rationals
+        coeff = scalars
     terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
     return LaurentPolynomial.from_terms(rank, param_rank, terms)
 
@@ -204,6 +208,69 @@ def test_series_matches_enumeration_oracle(f, order):
 def test_parametrized_series_matches_naive_powering(f, order):
     naive = [(f ** d).constant_term() for d in range(order + 1)]
     assert list(period_coefficients(f, order).coefficients) == naive
+
+
+mixed_denominators = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2).flatmap(lambda r: polys_of_rank_1_to_4(r, mixed_denominators)),
+    st.integers(0, 7),
+)
+def test_mixed_denominators_match_oracles(f, order):
+    """The kernel clears denominators once and divides each output by D^d;
+    both flavors must equal the oracles, with integral scalars as int."""
+    if f.param_rank:
+        want = [(f ** d).constant_term() for d in range(order + 1)]
+    else:
+        want = [multinomial_constant_term(f.terms, d) for d in range(order + 1)]
+    regularized = period_coefficients(f, order).coefficients
+    assert list(regularized) == want
+    classical = period_coefficients(f, order, CLASSICAL).coefficients
+    assert list(classical) == [c * Fraction(1, factorial(d)) for d, c in enumerate(want)]
+    for c in regularized:
+        assert not isinstance(c, Fraction) or c.denominator > 1
+
+
+def test_square_pairing_with_a_parameter_block_at_torus_zero():
+    """Even orders pair a half power with itself; here the torus-0 block
+    of every power carries several parameter terms."""
+    f = parse("a1*x + a2/x + a1*a2 + a1/2 + 1/a2 + y + 1/y", 2, 2)
+    for order in (2, 4, 6, 8):
+        naive = [(f ** d).constant_term() for d in range(order + 1)]
+        assert list(period_coefficients(f, order).coefficients) == naive, order
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    polys_of_rank_1_to_4(scalars=st.integers(-3, 3).filter(bool)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+def test_rational_shift_of_an_integer_model(g, a):
+    assert period_equal_up_to_shift(g, g + a, 8) == a
+
+
+def test_comparison_stops_at_the_first_mismatch():
+    """h = g + x^v + x^-v with v off the support changes c(h^2) by 2, so the
+    comparison ends at degree 2 without forming any deeper power.  It runs
+    in its own process under a timeout: to order 100000 the full periods
+    would take hours."""
+    code = (
+        "from lgforge import parse\n"
+        "from lgforge.period import first_period_mismatch\n"
+        "g = parse('x+y+1/(x*y)+2*x*y', 2)\n"
+        "h = g + parse('x^3/y+y/x^3', 2)\n"
+        "print(first_period_mismatch(g, h, 100000))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+    )
+    assert proc.stdout == "(2, 4, 6)\n"
 
 
 @st.composite
