@@ -47,8 +47,6 @@ _EXPORTS = {
     ),
     "parsing": ("ExpressionError", "parse"),
     "period": (
-        "CLASSICAL",
-        "REGULARIZED",
         "PeriodSeries",
         "period_coefficients",
         "period_distinct",

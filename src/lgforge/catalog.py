@@ -481,7 +481,7 @@ def _run_toric_oracle(entry, check, resolver, order) -> CheckReport:
     model = toric.toric_pair_model(fan, cg)
     # the monoid series enforces the order budget, so it runs before the powering
     combinatorial = toric.toric_quantum_period(fan, cg, n)
-    direct = period.period_coefficients(model, n, period.REGULARIZED)
+    direct = period.period_coefficients(model, n)
     witness = period.series_mismatch(direct, combinatorial)
     if witness is not None:
         mismatch = witness[0]

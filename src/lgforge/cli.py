@@ -42,6 +42,13 @@ def _parse_fractions(text: str) -> list[Fraction]:
         raise UsageError(f"expected comma-separated rationals, got {text!r}") from None
 
 
+def _three_ints(text: str) -> list[int]:
+    values = _parse_ints(text)
+    if len(values) != 3:
+        raise UsageError(f"expected three comma-separated integers, got {text!r}")
+    return values
+
+
 def _parse_matrix(text: str) -> list[list[int]]:
     return [_parse_ints(row) for row in text.split(";")]
 
@@ -111,9 +118,11 @@ def cmd_period(args):
     from . import period
 
     f = _expression(args)
-    flavor = period.CLASSICAL if args.classical else period.REGULARIZED
-    series = period.period_coefficients(f, args.n, flavor)
-    values = series.render_list()
+    coefficients = period.period_coefficients(f, args.n).coefficients
+    if args.classical:
+        coefficients = [c * Fraction(1, factorial(d)) for d, c in enumerate(coefficients)]
+    flavor = "classical" if args.classical else "regularized"
+    values = [str(c) for c in coefficients]
     _emit(
         args,
         {"command": "period", "order": args.n, "flavor": flavor, "coefficients": values},
@@ -122,8 +131,15 @@ def cmd_period(args):
 
 
 def cmd_regularize(args):
+    from .parsing import ExpressionError, rational
+
     coeffs = json.loads(args.series)
-    out = [str(Fraction(str(c)) * factorial(d)) for d, c in enumerate(coeffs)]
+    if not isinstance(coeffs, list):
+        raise UsageError(f"expected a JSON list of rationals, got {args.series!r}")
+    try:
+        out = [str(rational(c) * factorial(d)) for d, c in enumerate(coeffs)]
+    except ExpressionError as err:
+        raise UsageError(str(err)) from None
     _emit(
         args,
         {"command": "regularize", "coefficients": out},
@@ -281,10 +297,7 @@ def cmd_toric_fibre(args):
 def cmd_toric_wpp(args):
     from . import toric
 
-    w = _parse_ints(args.weights)
-    if len(w) != 3:
-        raise CliError("wpp expects three weights")
-    data = toric.wpp_fan_polytope(*w)
+    data = toric.wpp_fan_polytope(*_three_ints(args.weights))
     verts = [list(v) for v in data.vertices]
     _emit(
         args,
@@ -319,7 +332,7 @@ def cmd_degenerate(args):
 def cmd_markov(args):
     from . import toric
 
-    triple = toric.MarkovTriple(*_parse_ints(args.triple))
+    triple = toric.MarkovTriple(*_three_ints(args.triple))
     if args.slot is not None:
         new = toric.markov_mutate(triple, args.slot)
         _emit(
@@ -422,12 +435,11 @@ def cmd_catalog_verify(args):
 # -- argument wiring -----------------------------------------------------------
 
 
-def _add_common(sub, expression=True):
+def _add_common(sub):
     sub.add_argument("--rank", type=int, default=3, help="number of torus variables")
     sub.add_argument("--params", type=int, default=0, help="number of parameters")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    if expression:
-        sub.add_argument("expression", help="Laurent polynomial expression")
+    sub.add_argument("expression", help="Laurent polynomial expression")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,6 +49,16 @@ def _norm_scalar(value):
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _ints(values, message: str, error=LaurentError) -> tuple:
+    """A caller-supplied integer vector as a tuple, checked in one pass: a
+    float, a bool or any other non-int entry raises ``error`` with
+    ``message`` formatted on the list of values."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise error(message.format(list(values)))
+    return values
+
+
 def _canonicalize(terms: dict, keys) -> dict:
     """The one coefficient rule, applied in place to ``terms[e]`` for each
     ``e`` in ``keys``: drop zeros, keep ints and ParamPoly values, and
@@ -388,7 +398,7 @@ class LaurentPolynomial:
 
     def apply_monomial_map(self, matrix) -> "LaurentPolynomial":
         """Unimodular change of torus coordinates: x^v -> x^(M v)."""
-        m = [[int(x) for x in row] for row in matrix]
+        m = [list(_ints(row, "matrix row {} is not a vector of integers")) for row in matrix]
         if len(m) != self.rank or any(len(row) != self.rank for row in m):
             raise LaurentError(f"matrix must be {self.rank}x{self.rank}")
         if abs(intlinalg.det(m)) != 1:
@@ -427,7 +437,7 @@ class LaurentPolynomial:
 
     def graded_pieces(self, weight) -> dict[int, "LaurentPolynomial"]:
         """Split by the grading <weight, exponent>; only nonzero pieces."""
-        weight = tuple(int(w) for w in weight)
+        weight = _ints(weight, "weight covector {} is not a vector of integers")
         if len(weight) != self.rank:
             raise LaurentError("weight covector has wrong length")
         pieces: dict[int, dict] = {}

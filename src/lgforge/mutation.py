@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import period
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly, laurent_divide
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _ints, laurent_divide
 from .parsing import parse, rational
 
 
@@ -33,7 +33,7 @@ class MutationData:
     factor: LaurentPolynomial
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weight)
+        w = _ints(self.weight, "mutation weight {} is not a vector of integers")
         object.__setattr__(self, "weight", w)
         if all(x == 0 for x in w):
             raise LaurentError("mutation weight must be nonzero")
@@ -54,7 +54,7 @@ class MutationData:
 
 def grade_by_weight(f: LaurentPolynomial, weight) -> dict[int, LaurentPolynomial]:
     """Split f into graded pieces under the weight covector."""
-    w = tuple(int(x) for x in weight)
+    w = tuple(weight)
     if all(x == 0 for x in w):
         raise LaurentError("grading weight must be nonzero")
     return f.graded_pieces(w)
@@ -123,14 +123,6 @@ class ChainFormatError(LaurentError):
     """A chain step in JSON form is malformed."""
 
 
-def _json_ints(values, name: str) -> tuple:
-    """A JSON list of integers as a tuple; floats and booleans are refused."""
-    values = tuple(values)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{name!r} must hold JSON integers, got {list(values)}")
-    return values
-
-
 def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -> tuple:
     """Chain steps from their JSON form, for polynomials of the given ranks.
 
@@ -146,9 +138,11 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
             kind = raw["kind"]
             if kind == "mutation":
                 factor = parse(raw["a"], rank, param_rank)
-                steps.append(MutationStep(MutationData(_json_ints(raw["w"], "w"), factor)))
+                w = _ints(raw["w"], "'w' must hold JSON integers, got {}")
+                steps.append(MutationStep(MutationData(w, factor)))
             elif kind == "coords":
-                steps.append(CoordStep(tuple(_json_ints(row, "matrix") for row in raw["matrix"])))
+                message = "'matrix' must hold JSON integers, got {}"
+                steps.append(CoordStep(tuple(_ints(row, message) for row in raw["matrix"])))
             elif kind == "subst":
                 assign = {}
                 for name, value in raw["assign"].items():

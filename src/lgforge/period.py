@@ -1,8 +1,9 @@
 """Periods of Laurent polynomials and identities between them.
 
-The classical period of f has degree-d coefficient c(f^d)/d!, where c(..)
-is the constant term; the regularized flavor drops the 1/d!.  All values
-are exact rationals (or parameter polynomials for parametrized input).
+The regularized period of f has degree-d coefficient c(f^d), where c(..)
+is the constant term; the classical period divides it by d!.  lgforge
+computes and compares only the regularized series.  All values are exact
+rationals (or parameter polynomials for parametrized input).
 
 The kernel runs over the integers: denominators are cleared once, before
 powering, and each output is divided once.  Coefficients stream degree by
@@ -11,42 +12,18 @@ degree, so a comparison stops at its first mismatching degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _norm_scalar, flat_terms
-
-CLASSICAL = "classical"
-REGULARIZED = "regularized"
 
 
 @dataclass(frozen=True)
 class PeriodSeries:
-    order: int
-    flavor: str
-    param_rank: int
-    coefficients: tuple = field(default_factory=tuple)
+    """Regularized period coefficients c(f^d), d = 0..order."""
 
-    def __post_init__(self):
-        if self.flavor not in (CLASSICAL, REGULARIZED):
-            raise LaurentError(f"unknown period flavor {self.flavor!r}")
-
-    def regularized(self) -> "PeriodSeries":
-        if self.flavor == REGULARIZED:
-            return self
-        coeffs = tuple(
-            c * factorial(d) for d, c in enumerate(self.coefficients)
-        )
-        return PeriodSeries(self.order, REGULARIZED, self.param_rank, coeffs)
-
-    def classical(self) -> "PeriodSeries":
-        if self.flavor == CLASSICAL:
-            return self
-        coeffs = tuple(
-            c * Fraction(1, factorial(d)) for d, c in enumerate(self.coefficients)
-        )
-        return PeriodSeries(self.order, CLASSICAL, self.param_rank, coeffs)
+    coefficients: tuple
 
     def render_list(self) -> list[str]:
         return [str(c) for c in self.coefficients]
@@ -171,16 +148,9 @@ def _constant_terms(f: LaurentPolynomial, order: int):
             yield c if scale == 1 else _norm_scalar(Fraction(c, scale))
 
 
-def period_coefficients(
-    f: LaurentPolynomial, order: int, flavor: str = REGULARIZED
-) -> PeriodSeries:
-    """Period series of f to the given order (see _constant_terms)."""
-    coeffs = list(_constant_terms(f, order))
-    if flavor == CLASSICAL:
-        coeffs = [
-            c * Fraction(1, factorial(d)) for d, c in enumerate(coeffs)
-        ]
-    return PeriodSeries(order, flavor, f.param_rank, tuple(coeffs))
+def period_coefficients(f: LaurentPolynomial, order: int) -> PeriodSeries:
+    """Regularized period series of f to the given order (see _constant_terms)."""
+    return PeriodSeries(tuple(_constant_terms(f, order)))
 
 
 def constant_shift(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
@@ -213,9 +183,7 @@ def series_mismatch(before: PeriodSeries, after: PeriodSeries, shift=0):
     the expected and the actual regularized coefficient.  In regularized
     form the expected value is sum_k C(d,k) shift^k R_before[d-k].
     """
-    return _first_mismatch(
-        before.regularized().coefficients, after.regularized().coefficients, shift
-    )
+    return _first_mismatch(before.coefficients, after.coefficients, shift)
 
 
 def first_period_mismatch(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):

@@ -22,16 +22,12 @@ from itertools import combinations, combinations_with_replacement, product
 from math import ceil, factorial, floor, gcd, isqrt, prod
 
 from . import geometry, intlinalg
-from .laurent import LaurentError, LaurentPolynomial, NewtonPolytopeData, ParamPoly
-from .period import REGULARIZED, PeriodSeries
+from .laurent import LaurentError, LaurentPolynomial, NewtonPolytopeData, ParamPoly, _ints
+from .period import PeriodSeries
 
 
 class ToricError(LaurentError):
     pass
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class GradingError(ToricError):
@@ -40,24 +36,17 @@ class GradingError(ToricError):
 
 @dataclass(frozen=True)
 class FanData:
+    """The rays of a fan; lgforge computes with the face fan of the rays."""
+
     rank: int
     rays: tuple[tuple[int, ...], ...]
-    cones: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if not _is_int(self.rank):
+        if type(self.rank) is not int:
             raise ToricError(f"rank {self.rank!r} is not an integer")
-        rays = tuple(tuple(ray) for ray in self.rays)
-        for ray in rays:
-            if not all(map(_is_int, ray)):
-                raise ToricError(f"ray {list(ray)} has a non-integer coordinate")
+        message = "ray {} has a non-integer coordinate"
+        rays = tuple(_ints(ray, message, ToricError) for ray in self.rays)
         object.__setattr__(self, "rays", rays)
-        if self.cones is not None:
-            cones = tuple(tuple(c) for c in self.cones)
-            for cone in cones:
-                if not all(map(_is_int, cone)):
-                    raise ToricError(f"cone {list(cone)} has a non-integer index")
-            object.__setattr__(self, "cones", tuple(tuple(sorted(c)) for c in cones))
         seen = set()
         for ray in rays:
             if len(ray) != self.rank:
@@ -74,9 +63,6 @@ class FanData:
             raise ToricError("rays do not span the ambient lattice")
         if not rays and self.rank != 0:
             raise ToricError("a fan with no rays must have rank 0")
-        for cone in self.cones or ():
-            if any(not 0 <= i < len(rays) for i in cone):
-                raise ToricError(f"cone {cone} indexes a ray outside 0..{len(rays) - 1}")
 
     @property
     def n_rays(self) -> int:
@@ -84,17 +70,19 @@ class FanData:
 
     @staticmethod
     def from_json(data: dict) -> "FanData":
-        return FanData(
-            rank=data["rank"],
-            rays=tuple(tuple(r) for r in data["rays"]),
-            cones=tuple(tuple(c) for c in data["cones"]) if data.get("cones") else None,
-        )
+        """A fan from {"rank": ..., "rays": [...]}; any other key, such as
+        "cones", is refused, since the cones are those of the face fan."""
+        if not isinstance(data, dict):
+            raise ToricError("a fan must be a JSON object with the keys rank and rays")
+        extra = sorted(set(data) - {"rank", "rays"})
+        if extra:
+            raise ToricError(
+                f"unknown key {extra[0]!r}: lgforge computes with the face fan of the rays"
+            )
+        return FanData(rank=data["rank"], rays=data["rays"])
 
     def to_json(self) -> dict:
-        out = {"rank": self.rank, "rays": [list(r) for r in self.rays]}
-        if self.cones is not None:
-            out["cones"] = [list(c) for c in self.cones]
-        return out
+        return {"rank": self.rank, "rays": [list(r) for r in self.rays]}
 
 
 @dataclass(frozen=True)
@@ -324,7 +312,7 @@ def _class_series(fan: FanData, cg: ClassGroupData, order: int, terms) -> Period
             sum(k[i] * cg.section[i][j] for i in range(fan.n_rays)) for j in range(r)
         )
         coeffs[d][cls] = coeffs[d].get(cls, 0) + weight
-    return PeriodSeries(order, REGULARIZED, r, tuple(ParamPoly.of(r, c) for c in coeffs))
+    return PeriodSeries(tuple(ParamPoly.of(r, c) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -334,7 +322,8 @@ class NefPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        message = "block {} does not hold ray indices"
+        blocks = tuple(tuple(sorted(_ints(b, message, ToricError))) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         flat = [i for b in blocks for i in b]
         if len(flat) != len(set(flat)):
@@ -386,9 +375,10 @@ def _ci_weight(k, blocks) -> Fraction:
 
 
 def fibre_fan(fan: FanData, projection) -> FanData:
-    """Sub-fan of rays (and cones) killed by a surjective projection,
-    rewritten in a lattice basis of the projection kernel."""
-    proj = [[int(x) for x in row] for row in projection]
+    """Sub-fan of rays killed by a surjective projection, rewritten in a
+    lattice basis of the projection kernel."""
+    message = "projection row {} is not a vector of integers"
+    proj = [list(_ints(row, message, ToricError)) for row in projection]
     m = len(proj)
     if m == 0 or any(len(row) != fan.rank for row in proj):
         raise ToricError("projection must be an m x n integer matrix")
@@ -402,24 +392,14 @@ def fibre_fan(fan: FanData, projection) -> FanData:
     gram = intlinalg.mat_mul(kernel, intlinalg.transpose(kernel))
     back = intlinalg.mat_mul(intlinalg.adjugate(gram), kernel)
     scale = intlinalg.det(gram)
-    new_rays = []
-    keep_indices = []
-    for idx, ray in enumerate(fan.rays):
-        if all(sum(proj[i][j] * ray[j] for j in range(fan.rank)) == 0 for i in range(m)):
-            new_rays.append(tuple(x // scale for x in intlinalg.mat_vec(back, ray)))
-            keep_indices.append(idx)
+    new_rays = [
+        tuple(x // scale for x in intlinalg.mat_vec(back, ray))
+        for ray in fan.rays
+        if all(sum(proj[i][j] * ray[j] for j in range(fan.rank)) == 0 for i in range(m))
+    ]
     if not new_rays and k > 0:
         raise ToricError("fibre fan is empty: no ray maps to zero")
-    cones = None
-    if fan.cones is not None:
-        keep = set(keep_indices)
-        reindex = {old: new for new, old in enumerate(keep_indices)}
-        cones = tuple(
-            tuple(reindex[i] for i in cone)
-            for cone in fan.cones
-            if set(cone) <= keep
-        )
-    return FanData(rank=k, rays=tuple(new_rays), cones=cones)
+    return FanData(rank=k, rays=tuple(new_rays))
 
 
 def wpp_fan_polytope(w0: int, w1: int, w2: int):
@@ -429,7 +409,7 @@ def wpp_fan_polytope(w0: int, w1: int, w2: int):
     w0 v0 + w1 v1 + w2 v2 = 0, in the Hermite-normal-form representative
     of its GL(2,Z) orbit.
     """
-    weights = (int(w0), int(w1), int(w2))
+    weights = _ints((w0, w1, w2), "weights {} are not integers", ToricError)
     if any(w <= 0 for w in weights):
         raise ToricError("weights must be positive")
     for i in range(3):

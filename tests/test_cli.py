@@ -29,6 +29,39 @@ def test_period_example(capsys):
     assert out.strip() == "regularized [1, 0, 0, 0, 24, 0, 0, 0, 2520]"
 
 
+@pytest.mark.parametrize(
+    "args, text, coefficients",
+    [
+        (
+            ["--rank", "2", "--n", "6", "x+y+1/(x*y)"],
+            "classical [1, 0, 0, 1, 0, 0, 1/8]",
+            ["1", "0", "0", "1", "0", "0", "1/8"],
+        ),
+        (
+            ["--rank", "2", "--n", "6", "x/2+y/3+1/(6*x*y)+2/3"],
+            "classical [1, 2/3, 2/9, 25/324, 13/486, 53/7290, 6677/4199040]",
+            ["1", "2/3", "2/9", "25/324", "13/486", "53/7290", "6677/4199040"],
+        ),
+        (
+            ["--rank", "2", "--params", "1", "--n", "5", "a1*x+y+1/(x*y)"],
+            "classical [1, 0, 0, a1, 0, 0]",
+            ["1", "0", "0", "a1", "0", "0"],
+        ),
+    ],
+    ids=["p2", "mixed-denominators", "parameter"],
+)
+def test_period_classical_output_is_pinned(capsys, args, text, coefficients):
+    """--classical divides each regularized coefficient by d! as it prints."""
+    code, out = run_cli(["period", "--classical", *args], capsys)
+    assert code == 0 and out == text + "\n"
+    order = int(args[args.index("--n") + 1])
+    code, out = run_cli(["period", "--classical", "--json", *args], capsys)
+    assert code == 0
+    assert out == json.dumps(
+        {"coefficients": coefficients, "command": "period", "flavor": "classical", "order": order}
+    ) + "\n"
+
+
 def test_mutate_example(capsys):
     code, out = run_cli(
         ["mutate", "--w", "0,1,1", "--a", "x+1", "(x+1)^2/(x*y*z)+y+z"], capsys
@@ -228,6 +261,18 @@ def test_malformed_toric_input_is_usage_error(capsys, tmp_path, fan, args):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_fan_file_with_cones_is_refused(capsys, tmp_path):
+    """Cones are those of the face fan of the rays, so a given "cones" key
+    could only be redundant or wrong."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({**P2_FAN, "cones": [[0, 1], [1, 2], [2, 0]]}), encoding="utf-8")
+    assert main(["toric", "qp", "--fan", str(path), "--n", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a fan: unknown key 'cones':"
+        " lgforge computes with the face fan of the rays\n"
+    )
+
+
 def test_degenerate(capsys, tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(
@@ -389,6 +434,17 @@ def run_cold(args, timeout=60):
         ({"catalog.json": {"id": "not-a-list"}}, ["catalog", "list", "--catalog", "catalog.json"], 2),
         ({"chain.json": [{"kind": "twist"}]}, ["chain", "--file", "chain.json", "x+y+z"], 2),
         ({"fan.json": {"rays": [[1, 0], [0, 1]]}}, ["toric", "hv", "--fan", "fan.json"], 2),
+        (
+            {"fan.json": {**P2_FAN, "cones": [[0, 1], [1, 2], [2, 0]]}},
+            ["toric", "qp", "--fan", "fan.json", "--n", "3"],
+            2,
+        ),
+        ({}, ["regularize", "5"], 2),
+        ({}, ["regularize", "[true]"], 2),
+        ({}, ["regularize", "[null]"], 2),
+        ({}, ["regularize", "[0.1]"], 2),
+        ({}, ["markov", "--triple", "1,1"], 2),
+        ({}, ["toric", "wpp", "--weights", "1,1"], 2),
         ({}, ["period", "--rank", "2", "x+*y"], 1),
         ({}, ["mutate", "--w", "1,0", "--rank", "2", "--a", "1+y", "1/x"], 1),
         ({"fan.json": P2_FAN}, ["toric", "qp", "--fan", "fan.json", "--n", "30000"], 1),
@@ -409,6 +465,13 @@ def run_cold(args, timeout=60):
         "catalog-file",
         "chain-file",
         "fan-file",
+        "fan-file-with-cones",
+        "regularize-not-a-list",
+        "regularize-bool",
+        "regularize-null",
+        "regularize-float",
+        "markov-two-entries",
+        "wpp-two-weights",
         "expression",
         "not-mutable",
         "order-budget",
@@ -447,8 +510,11 @@ def test_catalog_verify_json_output_is_pinned(capsys):
     assert re.sub(r', "seconds": [0-9.e+-]+', "", out) == golden
 
 
+P1XP2_FAN = {"rank": 3, "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1]]}
+
 JSON_COMMANDS = [
     ["period", "--n", "4", "--json", "x+y+1/(x*y)", "--rank", "2"],
+    ["period", "--classical", "--json", "--rank", "2", "--n", "4", "x+y+1/(x*y)"],
     ["regularize", "--json", '["1", "2"]'],
     ["mutate", "--json", "--w", "0,1,1", "--a", "x+1", "(x+1)^2/(x*y*z)+y+z"],
     ["coords", "--json", "--rank", "2", "--matrix", "0,1;1,0", "x+2*y"],
@@ -457,12 +523,14 @@ JSON_COMMANDS = [
     ["markov", "--json", "--triple", "1,1,2", "--slot", "1"],
     ["catalog", "list", "--json", "--id", "dP-*"],
     ["catalog", "verify", "--json", "--id", "P3", "--n", "4", "--threads", "1"],
+    ["toric", "fibre", "--json", "--fan", "p1p2.json", "--projection", "1,0,0"],
 ]
 
 
 @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda a: a[0] + "-" + a[1])
-def test_json_outputs_validate_against_schema(args, capsys):
-    code, out = run_cli(args, capsys)
+def test_json_outputs_validate_against_schema(args, capsys, tmp_path):
+    (tmp_path / "p1p2.json").write_text(json.dumps(P1XP2_FAN), encoding="utf-8")
+    code, out = run_cli([str(tmp_path / a) if a.endswith(".json") else a for a in args], capsys)
     assert code == 0
     payload = json.loads(out)
     validate(payload, SCHEMA)
@@ -499,23 +567,6 @@ def test_json_remaining_commands_validate(capsys, tmp_path):
     )
     code, out = run_cli(
         ["toric", "ci", "--json", "--fan", str(fan), "--part", "3,4;0,1,2", "--n", "4"],
-        capsys,
-    )
-    assert code == 0
-    validate(json.loads(out), SCHEMA)
-
-    p1p2 = tmp_path / "p1p2.json"
-    p1p2.write_text(
-        json.dumps(
-            {
-                "rank": 3,
-                "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1]],
-            }
-        ),
-        encoding="utf-8",
-    )
-    code, out = run_cli(
-        ["toric", "fibre", "--json", "--fan", str(p1p2), "--projection", "1,0,0"],
         capsys,
     )
     assert code == 0

@@ -57,6 +57,23 @@ class TestGrading:
             grade_by_weight(parse("x", 2), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MutationData((0, 1.5, 1), parse("x+1", 3)),
+        lambda: MutationData((0, True, 1), parse("x+1", 3)),
+        lambda: parse("x+y", 2).apply_monomial_map([[1, 0], [0.5, 1]]),
+        lambda: parse("x+y", 2).graded_pieces([1.7, 0]),
+        lambda: grade_by_weight(parse("x+y", 2), (1.7, 0)),
+    ],
+    ids=["mutation-weight", "bool-mutation-weight", "monomial-map", "graded-pieces", "grade-by-weight"],
+)
+def test_integer_vectors_refuse_non_integers(call):
+    """A float or bool entry is refused, never truncated to an integer."""
+    with pytest.raises(LaurentError, match="not a vector of integers"):
+        call()
+
+
 class TestMutate:
     def test_quadric_example(self):
         f = parse("(x+1)^2/(x*y*z)+y+z", 3)

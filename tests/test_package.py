@@ -13,7 +13,6 @@ import lgforge
 SRC = Path(__file__).parent.parent / "src"
 
 PUBLIC_NAMES = [
-    "CLASSICAL",
     "CatalogEntry",
     "Check",
     "ClassGroupData",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "NotMutableError",
     "ParamPoly",
     "PeriodSeries",
-    "REGULARIZED",
     "RelationMonoidSlice",
     "SubstStep",
     "ToricError",
@@ -70,7 +68,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(lgforge.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(lgforge))
 

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -14,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgforge import (
-    CLASSICAL,
-    REGULARIZED,
     LaurentPolynomial,
     ParamPoly,
     parse,
@@ -44,16 +41,6 @@ def test_p2_series():
 def test_zero_polynomial_series():
     series = period_coefficients(parse("0", 2), 5)
     assert list(series.coefficients) == [1, 0, 0, 0, 0, 0]
-
-
-def test_classical_regularized_conversion():
-    f = parse("x+y+1/(x*y)", 2)
-    reg = period_coefficients(f, 6, REGULARIZED)
-    cla = period_coefficients(f, 6, CLASSICAL)
-    for d in range(7):
-        assert reg.coefficients[d] == cla.coefficients[d] * factorial(d)
-    assert cla.regularized().coefficients == reg.coefficients
-    assert reg.classical().coefficients == cla.coefficients
 
 
 def test_models_match_naive_powering():
@@ -220,15 +207,13 @@ mixed_denominators = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 )
 def test_mixed_denominators_match_oracles(f, order):
     """The kernel clears denominators once and divides each output by D^d;
-    both flavors must equal the oracles, with integral scalars as int."""
+    the series must equal the oracles, with integral scalars as int."""
     if f.param_rank:
         want = [(f ** d).constant_term() for d in range(order + 1)]
     else:
         want = [multinomial_constant_term(f.terms, d) for d in range(order + 1)]
     regularized = period_coefficients(f, order).coefficients
     assert list(regularized) == want
-    classical = period_coefficients(f, order, CLASSICAL).coefficients
-    assert list(classical) == [c * Fraction(1, factorial(d)) for d, c in enumerate(want)]
     for c in regularized:
         assert not isinstance(c, Fraction) or c.denominator > 1
 

@@ -245,18 +245,17 @@ class TestFanData:
             FanData(2, ((1, 0), (-1, 0)))
 
     @pytest.mark.parametrize(
-        "rank, rays, cones, message",
+        "rank, rays, message",
         [
-            (2, ((1.5, 0), (0, 1), (-1, -1)), None, "ray [1.5, 0]"),
-            (2, ((1, 0), (0, True), (-1, -1)), None, "ray [0, True]"),
-            (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1.0),), "cone [0, 1.0]"),
-            (2.0, ((1, 0), (0, 1), (-1, -1)), None, "rank 2.0"),
+            (2, ((1.5, 0), (0, 1), (-1, -1)), "ray [1.5, 0]"),
+            (2, ((1, 0), (0, True), (-1, -1)), "ray [0, True]"),
+            (2.0, ((1, 0), (0, 1), (-1, -1)), "rank 2.0"),
         ],
-        ids=["float-coordinate", "bool-coordinate", "float-cone-index", "float-rank"],
+        ids=["float-coordinate", "bool-coordinate", "float-rank"],
     )
-    def test_non_integer_values_rejected(self, rank, rays, cones, message):
+    def test_non_integer_values_rejected(self, rank, rays, message):
         with pytest.raises(ToricError, match=re.escape(message)):
-            FanData(rank, rays, cones)
+            FanData(rank, rays)
 
 
 class TestClassGroup:
