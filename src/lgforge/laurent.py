@@ -274,7 +274,7 @@ class LaurentPolynomial:
     def from_terms(rank: int, param_rank: int, terms: dict) -> "LaurentPolynomial":
         clean = {}
         for exp, coeff in terms.items():
-            exp = tuple(int(e) for e in exp)
+            exp = _ints(exp, "exponent {} is not a vector of integers")
             if len(exp) != rank:
                 raise LaurentError(
                     f"exponent {exp} has length {len(exp)}, expected rank {rank}"
@@ -413,7 +413,8 @@ class LaurentPolynomial:
         """Assign rational values to some parameters; the rest are reindexed."""
         assign = {}
         for index, value in values.items():
-            index = int(index)
+            if type(index) is not int:
+                raise LaurentError(f"parameter index {index!r} is not an integer")
             if not 0 <= index < self.param_rank:
                 raise LaurentError(f"parameter index {index} out of range")
             assign[index] = Fraction(value)

@@ -6,8 +6,16 @@ computes and compares only the regularized series.  All values are exact
 rationals (or parameter polynomials for parametrized input).
 
 The kernel runs over the integers: denominators are cleared once, before
-powering, and each output is divided once.  Coefficients stream degree by
-degree, so a comparison stops at its first mismatching degree.
+powering, and each output is divided once.  Powers live on fibre-packed
+big integers in a width-reduced basis: a unimodular change of torus
+coordinates, which fixes every constant term, makes the support narrow,
+and one lattice direction is packed into the coefficients, so that each
+key holds a whole line of a power as one integer with a slot per point
+(Kronecker substitution in one variable).  A power step then multiplies
+whole lines in C.  The slots are wide enough for every coefficient of
+every power and pairing, so the constant term is read exactly from one
+slot (see fibre.py).  Coefficients stream degree by degree, so a
+comparison stops at its first mismatching degree.
 """
 
 from __future__ import annotations
@@ -29,25 +37,57 @@ class PeriodSeries:
         return [str(c) for c in self.coefficients]
 
 
-def _packing(f: LaurentPolynomial, half: int):
-    """f flattened to packed int keys, its common denominator, and the digit
-    width in bits.
+def _digit_width(largest: int, order: int) -> int:
+    """Key digit width s for digits of f up to ``largest`` in size: 2^(s-1)
+    exceeds every digit of a pairing of two powers up to f^ceil(order/2)."""
+    return (2 * ((order + 1) // 2) * largest).bit_length() + 1
 
-    A term q_p*a^p*x^e becomes the key sum_i v_i*2^(s*i) of v = (p, e), the
-    parameters in the low digits, with the integer coefficient q_p*D for the
-    lcm D of the denominators.  Digits are balanced, so packing is additive
-    and pack(-v) = -pack(v); s makes 2^(s-1) exceed every digit of a pairing
-    of two powers up to f^half.
+
+def _packing(flat: dict, order: int):
+    """The flattened f (see flat_terms) on packed int keys for the power
+    kernel, one slot per coefficient: {key: coefficient}, the common
+    denominator D, the key digit width s, the slot width S = 0 and the
+    slot offset 0.
+
+    A term q*a^p*x^e becomes the key sum_i u_i*2^(s*i) of u = (p, e),
+    the parameters in the low digits, with the coefficient q*D.  Keys are
+    balanced digit vectors: packing is additive and key(-u) = -key(u), so
+    a pairing matches keys k and -k.
     """
-    flat = flat_terms(f)
-    bound = 2 * half * max((abs(v) for key in flat for v in key), default=0)
-    s = bound.bit_length() + 1
     den = lcm(*(c.denominator for c in flat.values()))
+    s = _digit_width(max((abs(v) for key in flat for v in key), default=0), order)
     packed = {
         sum(v << (s * i) for i, v in enumerate(key)): c.numerator * (den // c.denominator)
         for key, c in flat.items()
     }
-    return packed, den, s
+    return packed, den, s, 0, 0
+
+
+def _fibre_packing(flat: dict, r: int, order: int):
+    """fibre.fibre_packing of the flattened f for degrees up to ``order``,
+    or None.  The search for a direction costs about as much as a few
+    hundred term products, so it runs only when the flat power steps
+    would form at least 1000: f^k has at most C(k+T-1, T-1) terms for T
+    terms of f, so the steps up to h = ceil(order/2) form at most
+    T*C(h+T-1, T).  Only then is the fibre module imported."""
+    terms = len(flat)
+    if terms * comb((order + 1) // 2 + terms - 1, terms) < 1000:
+        return None
+    from .fibre import fibre_packing
+
+    return fibre_packing(flat, r, order)
+
+
+def _slot(value: int, big_s: int, m: int) -> int:
+    """The balanced S-bit digit of ``value`` at slot m (see
+    fibre.fibre_packing); with S = 0 the value is its own single slot."""
+    if not big_s:
+        return value
+    shift = big_s * m
+    if value.bit_length() < shift:  # |value| < 2^(shift-1): slot m and up are 0
+        return 0
+    half = 1 << big_s >> 1
+    return ((((value + (1 << shift >> 1)) >> shift) + half) & ((1 << big_s) - 1)) - half
 
 
 def _times(power: dict, f: dict) -> dict:
@@ -74,25 +114,42 @@ def _by_torus(power: dict, shift: int) -> dict:
 
 
 def _param_constant(
-    a: dict, b_groups: dict, shift: int, s: int, param_rank: int, square: bool, scale: int
+    a, b_groups: dict, shift: int, s: int, param_rank: int, square: bool, scale: int,
+    big_s: int, m: int,
 ):
     """Constant torus term of a*b divided by ``scale``, as a ParamPoly, b
-    grouped by torus part.  When a is b (``square``) the torus parts T and
-    -T give the same products, so only T >= 0 is paired, T > 0 twice."""
+    grouped by torus part, each parameter coefficient read at slot m.
+
+    When a is b (``square``), a is given grouped too.  The torus parts T
+    and -T then give the same products, so only T >= 0 is paired, T > 0
+    twice, and the torus-0 block pairs each unordered {pa, pb} once:
+    2*sum_{pa<pb} + sum c^2."""
     acc: dict = {}
     get = acc.get
-    offset = 1 << shift >> 1
-    for k, c in a.items():
-        torus = (k + offset) >> shift
-        if square:
-            if torus < 0:
-                continue
-            if torus:
-                c *= 2
-        pa = k - (torus << shift)
-        for pb, c2 in b_groups.get(-torus, ()):
-            p = pa + pb
-            acc[p] = get(p, 0) + c * c2
+    if square:
+        for torus, block in a.items():
+            if torus > 0:
+                for pa, c in block:
+                    c *= 2
+                    for pb, c2 in b_groups.get(-torus, ()):
+                        p = pa + pb
+                        acc[p] = get(p, 0) + c * c2
+            elif not torus:
+                for i, (pa, c) in enumerate(block):
+                    p = 2 * pa
+                    acc[p] = get(p, 0) + c * c
+                    c *= 2
+                    for pb, c2 in block[i + 1:]:
+                        p = pa + pb
+                        acc[p] = get(p, 0) + c * c2
+    else:
+        offset = 1 << shift >> 1
+        for k, c in a.items():
+            torus = (k + offset) >> shift
+            pa = k - (torus << shift)
+            for pb, c2 in b_groups.get(-torus, ()):
+                p = pa + pb
+                acc[p] = get(p, 0) + c * c2
     mask, digit_half = (1 << s) - 1, 1 << s >> 1
     terms = {}
     for p, c in acc.items():
@@ -101,13 +158,15 @@ def _param_constant(
             digit = ((p + digit_half) & mask) - digit_half
             exp.append(digit)
             p = (p - digit) >> s
+        if big_s:
+            c = _slot(c, big_s, m)
         terms[tuple(exp)] = Fraction(c, scale) if scale > 1 else c
     return ParamPoly.of(param_rank, terms)
 
 
 def _scalar_constant(a: dict, b: dict, square: bool) -> int:
-    """Constant term of a*b; when a is b (``square``) each {k, -k} pair is
-    formed once."""
+    """Constant key term of a*b, every slot; when a is b (``square``) each
+    {k, -k} pair is formed once."""
     get = b.get
     if square:
         return 2 * sum(c * get(-k, 0) for k, c in a.items() if k > 0) + get(0, 0) ** 2
@@ -119,32 +178,56 @@ def _constant_terms(f: LaurentPolynomial, order: int):
 
     c(f^d) is the constant term of f^ceil(d/2) * f^floor(d/2), so only the
     powers up to ceil(order/2) are formed, and only the last two are held;
-    each power step yields two coefficients.  Powers live on packed int
-    keys of D*f (see _packing), and c(f^d) = c((D*f)^d) / D^d.  A pairing
-    matches keys k and -k; with parameters it matches torus parts and sums
-    the parameter parts into the output coefficient.  A square pairing
-    forms each {T, -T} pair once: c(P*P) = P_0^2 + 2*sum_{T>0} P_T*P_-T.
+    each power step yields two coefficients.  Powers of D*f live on packed
+    int keys (see _packing), and c(f^d) = c((D*f)^d) / D^d.  c(f) and
+    c(f^2) read f alone, so f is repacked with a fibre (_fibre_packing)
+    only at the first power step, d = 3: a comparison that stops earlier
+    never searches for one, and a program that forms no large power never
+    imports the fibre module.  Fibre slots are sized
+    for a horizon of degrees, max(2d, 32) capped at the order, so a
+    comparison that stops early at a large order does not pay for slots
+    wide enough for the whole order; past the horizon f is repacked for
+    twice as many degrees and the held power is formed again, which at
+    most doubles the power steps.  A pairing matches keys k and -k and
+    reads the t = 0 slot of the sum once; with parameters it matches
+    torus parts and sums the parameter parts into the output coefficient,
+    reading the slot once per parameter term.  A square pairing forms each
+    {T, -T} pair once: c(P*P) = P_0^2 + 2*sum_{T>0} P_T*P_-T.
     """
     if order < 0:
         raise LaurentError("period order must be nonnegative")
-    packed, den, s = _packing(f, (order + 1) // 2)
-    param_rank = f.param_rank
-    shift = s * param_rank
+    param_rank, flat = f.param_rank, flat_terms(f)
+    flat_packing = _packing(flat, order)
+    packed, den, s, big_s, low = flat_packing
+    shift, horizon = s * param_rank, 2
     yield 1
     power = {0: 1}
     scale = 1
     for d in range(1, order + 1):
         square = d % 2 == 0
         if not square:
+            if d > horizon:
+                horizon = min(order, max(2 * d, 32))
+                fibred = _fibre_packing(flat, param_rank, horizon)
+                if fibred is None:
+                    horizon = order
+                if fibred or big_s:  # a new packing: form the held power in it
+                    packed, den, s, big_s, low = fibred or flat_packing
+                    shift, power = s * param_rank, {0: 1}
+                    for _ in range(d // 2):
+                        power = _times(power, packed)
             previous, power = power, _times(power, packed)
             if param_rank:
                 groups = _by_torus(power, shift)
-        a = power if square else previous
         scale *= den
         if param_rank:
-            yield _param_constant(a, groups, shift, s, param_rank, square, scale)
+            a = groups if square else previous
+            yield _param_constant(
+                a, groups, shift, s, param_rank, square, scale, big_s, d * low
+            )
         else:
-            c = _scalar_constant(a, power, square)
+            c = _scalar_constant(power if square else previous, power, square)
+            c = _slot(c, big_s, d * low)
             yield c if scale == 1 else _norm_scalar(Fraction(c, scale))
 
 

@@ -489,6 +489,28 @@ def test_cold_process_exit_codes(tmp_path, files, args, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["period", "--rank", "1", "--n", "-1", "x"],
+        ["chain", "--file", "chain.json", "--n", "-1", "x"],
+        ["toric", "qp", "--fan", "fan.json", "--n", "-1"],
+        ["toric", "ci", "--fan", "fan.json", "--part", "0;1,2", "--n", "-1"],
+        ["catalog", "verify", "--n", "-1"],
+        ["period", "--rank", "1", "--n", "1.5", "x"],
+    ],
+    ids=["period", "chain", "toric-qp", "toric-ci", "catalog-verify", "period-fraction"],
+)
+def test_order_must_be_a_nonnegative_integer(args):
+    """Every --n is read by one argument type, so a negative or fractional
+    order is a usage error (exit 2) before any command runs.  argparse
+    reports it after the usage line, prefixed with the program name."""
+    proc = run_cold(args)
+    assert proc.returncode == 2
+    assert "argument --n: expected a nonnegative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_power_past_the_coefficient_budget_exits_one():
     proc = run_cold(["period", "--rank", "1", "(3*x)^30000000"], timeout=30)
     assert proc.returncode == 1

@@ -231,6 +231,13 @@ class TestParameters:
         assert g.param_rank == 1
         assert g == parse("1/2*x + a1*y", 2, 1)
 
+    @pytest.mark.parametrize("index", [0.5, 0.0, True, "0"])
+    def test_non_integer_index_raises(self, index):
+        """An index is never truncated: 0.5 would otherwise assign a1."""
+        f = parse("a1*x+y", 2, 1)
+        with pytest.raises(LaurentError, match="is not an integer"):
+            f.substitute_parameters({index: 2})
+
     @pytest.mark.parametrize("text", ["a1/a2*x + y", "a2/a1*x + y"])
     def test_zero_for_an_inverted_parameter_raises_in_any_order(self, text):
         f = parse(text, 2, 2)

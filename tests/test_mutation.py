@@ -65,8 +65,13 @@ class TestGrading:
         lambda: parse("x+y", 2).apply_monomial_map([[1, 0], [0.5, 1]]),
         lambda: parse("x+y", 2).graded_pieces([1.7, 0]),
         lambda: grade_by_weight(parse("x+y", 2), (1.7, 0)),
+        lambda: LaurentPolynomial.from_terms(1, 0, {(1.5,): 1}),
+        lambda: LaurentPolynomial.from_terms(2, 0, {(1, True): 1}),
     ],
-    ids=["mutation-weight", "bool-mutation-weight", "monomial-map", "graded-pieces", "grade-by-weight"],
+    ids=[
+        "mutation-weight", "bool-mutation-weight", "monomial-map", "graded-pieces",
+        "grade-by-weight", "from-terms-exponent", "bool-from-terms-exponent",
+    ],
 )
 def test_integer_vectors_refuse_non_integers(call):
     """A float or bool entry is refused, never truncated to an integer."""

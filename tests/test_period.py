@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,3 +339,197 @@ def test_catalog_periods_are_pinned():
     """Renders of the 126 catalog series at n=8 are fixed byte for byte."""
     golden = Path(__file__).parent / "data/periods_n8.json"
     assert catalog_periods_n8() == golden.read_text(encoding="utf-8")
+
+
+# -- the fibre-packed kernel -------------------------------------------------------
+
+
+def fibre_packed(f, order):
+    """Whether the kernel repacks f with a fibre for this order."""
+    from lgforge.laurent import flat_terms
+    from lgforge.period import _fibre_packing
+
+    return _fibre_packing(flat_terms(f), f.param_rank, order) is not None
+
+
+def paired_oracle(f, order):
+    """c(f^d) for d = 0..order from LaurentPolynomial powers, tuple keys and
+    exact rationals: the terms of f^ceil(d/2) and f^floor(d/2) at e and -e."""
+    powers = [LaurentPolynomial.one(f.rank, f.param_rank)]
+    for _ in range((order + 1) // 2):
+        powers.append(powers[-1] * f)
+    out = []
+    for d in range(order + 1):
+        a, b = powers[(d + 1) // 2].terms, powers[d // 2].terms
+        out.append(sum(c * b.get(tuple(-x for x in e), 0) for e, c in a.items()))
+    return [ParamPoly.of(f.param_rank, c.terms) if isinstance(c, ParamPoly) else c for c in out]
+
+
+def unimodular(draw, rank, steps, multiplier):
+    """A random unimodular matrix: elementary row operations with the given
+    multiplier range, a row swap and a sign flip."""
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    index = st.integers(0, rank - 1)
+    for _ in range(draw(st.integers(0, steps))):
+        i, j, c = draw(index), draw(index), draw(st.integers(-multiplier, multiplier))
+        if i != j:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    i, j = draw(index), draw(index)
+    m[i], m[j] = m[j], m[i]
+    k = draw(index)
+    m[k] = [-a for a in m[k]]
+    return m
+
+
+# exponent box by rank: dense enough that 8-12 terms fit and lines repeat
+DENSE_BOX = {1: 6, 2: 2, 3: 1, 4: 1}
+
+
+@st.composite
+def dense_polys_and_skews(draw, param_rank=0):
+    """8-12 terms of rank 1-4 in a small box around 0, where lines along
+    some direction meet the support several times, and a unimodular matrix
+    of up to 8 operations with multipliers up to 3, which skews that
+    support far from the box.  At orders 8 and 9 the kernel searches such
+    an f for a fibre (see lgforge.period._fibre_packing)."""
+    rank = draw(st.integers(1, 4))
+    box = DENSE_BOX[rank]
+    exponent = st.tuples(*[st.integers(-box, box)] * rank)
+    if param_rank:
+        param_exponent = st.tuples(*[st.integers(0, 1)] * param_rank)
+        coeff = st.dictionaries(param_exponent, rationals, min_size=1, max_size=2).map(
+            lambda terms: ParamPoly.of(param_rank, terms)
+        )
+    else:
+        coeff = rationals
+    terms = draw(st.dictionaries(exponent, coeff, min_size=8, max_size=12))
+    return LaurentPolynomial.from_terms(rank, param_rank, terms), unimodular(draw, rank, 8, 3)
+
+
+@settings(deadline=None, max_examples=30)
+@given(dense_polys_and_skews(), st.integers(8, 9))
+def test_skewed_images_match_paired_oracle(case, order):
+    """The oracle powers f itself; the kernel sees only the skewed image,
+    which it must reduce and pack on its own."""
+    f, m = case
+    g = f.apply_monomial_map(m)
+    assert list(period_coefficients(g, order).coefficients) == paired_oracle(f, order)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 2).flatmap(dense_polys_and_skews), st.integers(8, 9))
+def test_parametrized_skewed_images_match_paired_oracle(case, order):
+    f, m = case
+    g = f.apply_monomial_map(m)
+    series = period_coefficients(g, order).coefficients
+    assert series == period_coefficients(f, order).coefficients
+    assert list(series) == paired_oracle(f, order)
+
+
+def test_the_hypothesis_inputs_are_fibre_packed():
+    """The two tests above reach the fibre path: a dense 8-term model of
+    each rank, skewed, is repacked."""
+    skew = {1: [[-1]], 2: [[2, 3], [1, 2]], 3: [[1, 3, 0], [0, 1, 0], [2, 6, 1]],
+            4: [[1, 0, 2, 0], [0, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 1]]}
+    for rank, box in DENSE_BOX.items():
+        points = [e for e in product(range(-box, box + 1), repeat=rank)][:8]
+        f = LaurentPolynomial.from_terms(rank, 0, {e: 1 for e in points})
+        assert fibre_packed(f.apply_monomial_map(skew[rank]), 8), rank
+
+
+@pytest.mark.parametrize(
+    "text, rank",
+    [
+        ("0", 1),
+        ("0", 3),
+        ("7/3", 2),
+        ("-2", 1),
+        ("x + x^2", 1),  # every exponent positive: c(f^d) = 0 for d >= 1
+        ("1/x + 1/x^2 + y/x", 2),
+        ("x*y + x^2*y + x*y^2 + 3", 2),
+        ("x/3 + 1/(2*x) + y/5 + 1/(7*y) + 1/6 + x*y/4", 2),
+    ],
+)
+def test_edge_cases_match_enumeration_oracle(text, rank):
+    f = parse(text, rank)
+    if f.is_zero:
+        oracle = [1] + [0] * 12
+    else:
+        oracle = [multinomial_constant_term(f.terms, d) for d in range(13)]
+    for order in range(13):
+        series = period_coefficients(f, order).coefficients
+        assert list(series) == oracle[: order + 1], (text, order)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x + x^2 + x^3 + x*y + x^2/y + x^4*y", "1/x + 1/x^2 + 1/x^3 + y/x + 1/(x^2*y) + 1/(x^4*y)"],
+)
+def test_supports_off_the_origin_along_the_fibre(text):
+    """Every t on one side of 0: the t = 0 slot lies outside every fibre,
+    and every c(f^d) with d >= 1 is 0."""
+    f = parse(text, 2)
+    assert fibre_packed(f, 12)
+    assert list(period_coefficients(f, 12).coefficients) == [1] + [0] * 12
+
+
+@pytest.mark.parametrize("big", [2**60, -(2**60)])
+def test_coefficients_at_the_slot_bound(big):
+    """A coefficient of size 2^60 makes every slot of the fibre integers
+    hold numbers of ~60*d bits; the digits must still read back exactly."""
+    f = LaurentPolynomial.from_terms(
+        2, 0, {(1, 0): big, (0, 0): 1, (-1, 0): big, (1, 1): 3, (-1, -1): -big}
+    )
+    assert fibre_packed(f, 12)
+    oracle = [multinomial_constant_term(f.terms, d) for d in range(13)]
+    assert list(period_coefficients(f, 12).coefficients) == oracle
+
+
+@pytest.mark.parametrize(
+    "text, packs",
+    [
+        # a1 and a2 repeat along the lines through x: the fibre is packed
+        ("a1*(x + 1 + 1/x) + a2*(y + x*y) + 1/y + a1*a2", True),
+        # a pair model: the parameters keep every key apart, nothing is packed
+        ("a1*x*y + x + y + a2/y + a3/x + a4/(x*y)", False),
+    ],
+)
+def test_parametrized_series_with_and_without_packing(text, packs):
+    f = parse(text, 2, 4)
+    assert fibre_packed(f, 10) is packs
+    assert list(period_coefficients(f, 10).coefficients) == paired_oracle(f, 10)
+
+
+def test_series_past_the_slot_horizon():
+    """Fibre slots are sized for max(2d, 32) degrees; past that horizon f is
+    repacked with wider slots and the held power is formed again.  Order 36
+    crosses it at d = 33."""
+    f = parse("x+y+1/x+1/y+x*y+1/(x*y)+x/y+2*y/x+3", 2)
+    assert fibre_packed(f, 32)
+    assert list(period_coefficients(f, 36).coefficients) == paired_oracle(f, 36)
+    g = parse("a1*x+y+1/x+1/y+a1*x*y+1/(x*y)+x/y+2*y/x+3", 2, 1)
+    assert fibre_packed(g, 32)
+    assert list(period_coefficients(g, 34).coefficients) == paired_oracle(g, 34)
+
+
+@pytest.mark.parametrize(
+    "text, order, loaded",
+    [("x+y+1/(x*y)", 8, False), ("x+y+1/x+1/y+x*y+1/(x*y)+x/y+2*y/x+3", 12, True)],
+)
+def test_fibre_module_loads_only_for_large_powers(text, order, loaded):
+    """A period whose power steps are too small to repay the search never
+    imports lgforge.fibre, so a cold start does not compile it."""
+    code = (
+        "import sys\n"
+        "from lgforge import parse, period_coefficients\n"
+        f"period_coefficients(parse({text!r}, 2), {order})\n"
+        "print('lgforge.fibre' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+    )
+    assert proc.stdout == f"{loaded}\n"
