@@ -27,7 +27,7 @@ in Q[a^+-1, x^+-1], and ``from_flat`` groups them back.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from . import geometry, intlinalg
 
@@ -417,6 +417,8 @@ class LaurentPolynomial:
                 raise LaurentError(f"parameter index {index!r} is not an integer")
             if not 0 <= index < self.param_rank:
                 raise LaurentError(f"parameter index {index} out of range")
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise LaurentError(f"parameter value {value!r} is not an exact rational")
             assign[index] = Fraction(value)
         remaining = [i for i in range(self.param_rank) if i not in assign]
         index_map = {old: new for new, old in enumerate(remaining)}
@@ -443,7 +445,7 @@ class LaurentPolynomial:
             raise LaurentError("weight covector has wrong length")
         pieces: dict[int, dict] = {}
         for exp, coeff in self.terms.items():
-            k = sum(w * e for w, e in zip(weight, exp))
+            k = sum(map(mul, weight, exp))
             pieces.setdefault(k, {})[exp] = coeff
         return {
             k: LaurentPolynomial(self.rank, self.param_rank, terms)
@@ -569,38 +571,110 @@ def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):
     """Exact quotient p/q in the Laurent ring, or None if q does not divide p.
 
     The division runs on the flat terms, in Q[a^+-1, x^+-1], where the
-    quotient is unique.  Both arguments are shifted into the polynomial ring,
-    then divided by the single divisor with graded-lex leading terms; any
-    nonzero remainder means non-divisibility.
+    quotient is unique.  Both flat term maps are shifted into the polynomial
+    ring by their coordinatewise minimum exponents s_p and s_q, and p is
+    divided by the single divisor q with graded-lex leading terms; a
+    remainder term whose exponent is not a multiple of the leading exponent
+    of q means non-divisibility.  The leading term comes from a heap, never
+    from a scan (Monagan & Pearce, "Sparse polynomial division using a
+    heap", J. Symbolic Comput. 46, 2011, with a heap of remainder keys).
+
+    *Packed keys.*  A shifted exponent e = (e_1..e_m) (parameters first,
+    then torus) is packed as the integer with base-B digits
+    (deg e, e_1, ..., e_m), most significant first, where deg e = sum e_i
+    and B = 1 + max(deg p, deg q) after the shift.  Packing is the linear
+    form sum e_i (B^m + B^(m-1-i)), so pack(e - s) = pack(e) - pack(s) and
+    each shifted key is packed in one pass from its flat key.  For keys
+    whose digits all lie in [0, B), packing is injective, additive
+    (pack(e + f) = pack(e) + pack(f) while the digits of e + f stay in
+    range), and integer order is graded-lex order, so the leading term is
+    the largest key.  Every key that reaches the remainder has its digits
+    in range: the keys of p and q do, by the choice of B; a quotient
+    exponent d = lead - lead(q) is formed only after every coordinate is
+    checked to be >= 0, so each target d + e (e in supp q) has coordinates
+    >= 0, and its degree deg d + deg e <= deg d + deg lead(q) = deg lead <=
+    deg p, because the graded-lex leading term of q has the top degree of q
+    and no remainder key ever exceeds the degree of p.  Every coordinate is
+    at most the degree, so every digit is below B, and each target is the
+    one integer addition pack(d) + pack(e).  B must cover deg q as well as
+    deg p: for p = 1, q = 1 + x the keys of q would otherwise collide.
+
+    *Heap.*  A max-heap of negated keys gets a key each time it enters the
+    remainder; entries of keys that cancelled since are stale and skipped on
+    pop.  Every key present in the remainder has an entry, so the first
+    popped key that is present is the leading one.  Only that key is
+    unpacked, to compare its digits with the leading exponent of q.
     """
+    return _divide(p, q)[0]
+
+
+def _divide(p: LaurentPolynomial, q: LaurentPolynomial):
+    """``laurent_divide`` with its witness: ``(p/q, None)`` when q divides p,
+    else ``(None, term)``, where ``term`` is the leading remainder term at
+    which the division stopped, as a one-term polynomial in the coordinates
+    of p, with its exact coefficient."""
     p._check_compatible(q)
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
-        return p
+        return p, None
+    import heapq  # imported here: the CLI starts without it
+
     pflat, qflat = flat_terms(p), flat_terms(q)
     sp = tuple(map(min, zip(*pflat)))
     sq = tuple(map(min, zip(*qflat)))
-    remainder = {tuple(map(sub, key, sp)): c for key, c in pflat.items()}
-    qterms = {tuple(map(sub, key, sq)): c for key, c in qflat.items()}
-
-    q_lead = min(qterms, key=grlex_key)
-    q_lead_coeff = qterms[q_lead]
+    base = 1 + max(max(map(sum, pflat)) - sum(sp), max(map(sum, qflat)) - sum(sq))
+    m = len(sp)
+    top = base ** m
+    weights = [top + base ** (m - 1 - i) for i in range(m)]
+    poff, qoff = sum(map(mul, weights, sp)), sum(map(mul, weights, sq))
+    remainder = {sum(map(mul, weights, e)) - poff: c for e, c in pflat.items()}
+    divisor = {sum(map(mul, weights, e)) - qoff: c for e, c in qflat.items()}
+    q_lead = max(divisor)
+    q_lead_coeff = divisor.pop(q_lead)
+    q_digits = _unpack(q_lead, base, m)[::-1]
+    heap = [-key for key in remainder]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     quotient: dict = {}
     while remainder:
-        lead = min(remainder, key=grlex_key)
-        diff = tuple(map(sub, lead, q_lead))
-        if any(d < 0 for d in diff):
-            return None
-        factor = _norm_scalar(Fraction(remainder[lead]) / q_lead_coeff)
+        lead = -heappop(heap)
+        c = remainder.pop(lead, None)
+        if c is None:
+            continue
+        key = lead
+        for qd in q_digits:
+            key, d = divmod(key, base)
+            if d < qd:
+                exp = tuple(map(add, _unpack(lead, base, m), sp))
+                return None, from_flat(p.rank, p.param_rank, {exp: _norm_scalar(c)})
+        if type(c) is int and type(q_lead_coeff) is int and not c % q_lead_coeff:
+            factor = c // q_lead_coeff
+        else:
+            factor = _norm_scalar(Fraction(c) / q_lead_coeff)
+        diff = lead - q_lead
         quotient[diff] = factor
-        for qexp, qcoeff in qterms.items():
-            target = tuple(map(add, diff, qexp))
-            new = remainder.get(target, 0) - factor * qcoeff
-            if new:
-                remainder[target] = new
+        for qkey, qcoeff in divisor.items():
+            target = diff + qkey
+            old = remainder.get(target)
+            if old is None:
+                remainder[target] = -factor * qcoeff
+                heappush(heap, -target)
             else:
-                del remainder[target]
+                new = old - factor * qcoeff
+                if new:
+                    remainder[target] = new
+                else:
+                    del remainder[target]
     shift = tuple(map(sub, sp, sq))
-    out = {tuple(map(add, key, shift)): c for key, c in quotient.items()}
-    return from_flat(p.rank, p.param_rank, out)
+    out = {tuple(map(add, _unpack(key, base, m), shift)): c for key, c in quotient.items()}
+    return from_flat(p.rank, p.param_rank, out), None
+
+
+def _unpack(key: int, base: int, m: int) -> Exponent:
+    """The m coordinate digits of a packed key, most significant first."""
+    digits = []
+    for _ in range(m):
+        key, d = divmod(key, base)
+        digits.append(d)
+    return tuple(reversed(digits))

@@ -9,21 +9,38 @@ piece is divisible by the corresponding power of the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from . import period
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _ints, laurent_divide
+from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _divide, _ints, laurent_divide
 from .parsing import parse, rational
 
 
 class NotMutableError(LaurentError):
-    """The polynomial is not mutable with respect to the given data."""
+    """The polynomial is not mutable with respect to the given data.
 
-    def __init__(self, grade: int, message: str | None = None):
+    ``grade`` is the weight of the graded piece that the factor power does
+    not divide, and ``term`` the witness: the leading remainder term at
+    which that division stopped, in the coordinates of the piece.  The term
+    is found by dividing again when it is first read, so a caller that
+    only catches the error pays for one division.
+    """
+
+    def __init__(self, grade: int, piece: LaurentPolynomial, divisor: LaurentPolynomial):
+        super().__init__(grade, piece, divisor)
         self.grade = grade
-        super().__init__(
-            message
-            or f"graded piece at weight {grade} is not divisible by the factor power"
+        self.piece = piece
+        self.divisor = divisor
+
+    @cached_property
+    def term(self) -> LaurentPolynomial:
+        return _divide(self.piece, self.divisor)[1]
+
+    def __str__(self):
+        return (
+            f"graded piece at weight {self.grade} is not divisible by the factor power"
+            f" (remainder term {self.term.render()})"
         )
 
 
@@ -44,6 +61,8 @@ class MutationData:
             raise LaurentError(f"mutation weight {w} is not primitive")
         if len(w) != self.factor.rank:
             raise LaurentError("weight length does not match factor rank")
+        if self.factor.is_zero:
+            raise LaurentError("mutation factor must be nonzero")
         for exp in self.factor.terms:
             val = sum(a * b for a, b in zip(w, exp))
             if val != 0:
@@ -74,9 +93,10 @@ def _apply(f: LaurentPolynomial, data: MutationData, sign: int) -> LaurentPolyno
         if power >= 0:
             out = out + piece * (factor ** power)
         else:
-            quotient = laurent_divide(piece, factor ** -power)
+            divisor = factor ** -power
+            quotient = laurent_divide(piece, divisor)
             if quotient is None:
-                raise NotMutableError(k)
+                raise NotMutableError(k, piece, divisor)
             out = out + quotient
     return out
 

@@ -1,5 +1,7 @@
 """Command-line interface: examples, determinism, JSON schema."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from lgforge.cli import main
@@ -128,8 +132,63 @@ def test_usage_error_exit_code():
 
 
 def test_computation_error_exit_code(capsys):
-    code, _ = run_cli(["mutate", "--w", "1,0", "--rank", "2", "--a", "1+y", "1/x"], capsys)
+    code = main(["mutate", "--w", "1,0", "--rank", "2", "--a", "1+y", "1/x"])
     assert code == 1
+    assert capsys.readouterr().err == (
+        "error: not mutable: graded piece at weight -1 is not divisible by the"
+        " factor power (remainder term 1/x)\n"
+    )
+
+
+_FUZZ_TERMS = ["x", "y", "z", "1/x", "2/(x*y)", "(1+x)^2/y", "(x+y)/(y*z)", "3/z^2", "a1/x", "4"]
+_FUZZ_JUNK = ["x/0", "(", "w", "1.5", "a9", "x^-", "+"]
+
+
+def _sometimes(draw, malformed):
+    """One of ``malformed`` in about one draw of six, else None."""
+    return draw(st.sampled_from(malformed)) if draw(st.integers(0, 5)) == 0 else None
+
+
+@st.composite
+def mutate_argv(draw):
+    """A mutate command line: mostly well formed (a primitive weight of the
+    right length, a factor 1 + a variable the weight does not see, so that
+    many lines mutate), with malformed ranks, weights, factors and
+    expressions mixed in."""
+    rank = _sometimes(draw, [0, -1, 5])
+    rank = draw(st.integers(1, 3)) if rank is None else rank
+    n = min(max(rank, 1), 3)
+    weight = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))
+    w = _sometimes(draw, ["1.5,0", "x", "2,4,0", "0,0,0", "1,0,0,0", ""])
+    w = ",".join(map(str, weight)) if w is None else w
+    free = [v for v, x in zip("xyz", weight) if x == 0]
+    factor = _sometimes(draw, ["1+x+y", "a1+x", "1+", "0"]) or draw(
+        st.sampled_from(["1"] + [f"1+{v}" for v in free] + [f"2*{v}-1" for v in free])
+    )
+    seen = set("xyz"[:n]) | {"a"}
+    known = [t for t in _FUZZ_TERMS if set(t) & set("xyza") <= seen]
+    terms = draw(st.lists(st.sampled_from(known), min_size=1, max_size=4))
+    terms += [_sometimes(draw, _FUZZ_JUNK) or "1"]
+    argv = ["mutate", "--rank", str(rank), "--params", draw(st.sampled_from(["1", "0"]))]
+    # "--w -1,0" is an argparse usage error (a value that starts with "-")
+    argv += [f"--w={w}"] if draw(st.booleans()) else ["--w", w]
+    argv += ["--a", factor] + ["--invert"] * draw(st.booleans())
+    return argv + ["--", "+".join(terms)]
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(mutate_argv())
+def test_mutate_fuzz_exits_with_a_documented_code(argv):
+    """Any mutate command line ends with exit 0, 1 or 2 (argparse's own
+    exit counts as 2), and never with a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_missing_fan_file_is_usage_like_error(capsys):

@@ -1,7 +1,11 @@
 """Laurent polynomial arithmetic, parsing and Newton polytopes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from lgforge import (
     parameter_direction_limit,
     parse,
 )
-from lgforge.laurent import LaurentError
+from lgforge.laurent import LaurentError, _divide
 from lgforge.parsing import ExpressionError
 
 
@@ -238,6 +242,13 @@ class TestParameters:
         with pytest.raises(LaurentError, match="is not an integer"):
             f.substitute_parameters({index: 2})
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2"])
+    def test_non_rational_value_raises(self, value):
+        """A float is never read as its binary expansion, nor a bool as 0/1."""
+        f = parse("a1*x+y", 2, 1)
+        with pytest.raises(LaurentError, match="not an exact rational"):
+            f.substitute_parameters({0: value})
+
     @pytest.mark.parametrize("text", ["a1/a2*x + y", "a2/a1*x + y"])
     def test_zero_for_an_inverted_parameter_raises_in_any_order(self, text):
         f = parse(text, 2, 2)
@@ -430,6 +441,93 @@ def test_divide_inverts_the_product(operands):
     if r is not None:
         assert q * r == p
         assert_canonical(r)
+
+
+@st.composite
+def indivisible_operands(draw):
+    """A divisor q with at least two flat terms, a cofactor h and a nonzero
+    flat monomial c x^e a^k, at rank 1-4 and parameter rank 0-2."""
+    rank = draw(st.integers(1, 4))
+    param_rank = draw(st.integers(0, 2))
+    q = draw(laurent_polys(rank, param_rank).filter(lambda f: len(flat_terms(f)) >= 2))
+    h = draw(laurent_polys(rank, param_rank))
+    e = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    k = draw(st.tuples(*[st.integers(-2, 2)] * param_rank))
+    c = draw(rationals)
+    monomial = LaurentPolynomial.from_terms(
+        rank, param_rank, {e: ParamPoly.of(param_rank, {k: c}) if param_rank else c}
+    )
+    return q, h, monomial
+
+
+@settings(deadline=None, max_examples=150)
+@given(indivisible_operands())
+def test_divide_refuses_a_product_plus_a_monomial(operands):
+    """If q divided q*h + m it would divide the monomial m, so q would be a
+    unit of Q[a^+-1, x^+-1]; the units are the monomials, and q has two
+    flat terms."""
+    q, h, monomial = operands
+    assert laurent_divide(q * h + monomial, q) is None
+    quotient, term = _divide(q * h + monomial, q)
+    assert quotient is None
+    assert len(flat_terms(term)) == 1
+    assert (term.rank, term.param_rank) == (q.rank, q.param_rank)
+    assert_canonical(term)
+
+
+@pytest.mark.parametrize(
+    "p, q, rank, expected",
+    [
+        ("1", "1+x", 2, None),  # deg q > deg p: the base must cover deg q
+        ("x^3-y^2", "x*y^2-x^2", 2, None),  # keys without the degree digit alias
+        ("1/x^5+1/x^4", "x^3+x^4", 1, "1/x^8"),
+        ("3", "2", 2, "3/2"),  # a constant dividend
+        ("3", "2*x*y", 2, "3/(2*x*y)"),
+        ("3", "1+y", 2, None),
+        ("x^3-1", "x-1", 1, "x^2+x+1"),  # rank 1
+        ("x^3-1", "x+1", 1, None),
+        ("(x-y)^3*(x+2*y+1/(x*y))", "(x-y)^2", 2, "(x-y)*(x+2*y+1/(x*y))"),
+    ],
+)
+def test_divide_edge_cases(p, q, rank, expected):
+    quotient = laurent_divide(parse(p, rank), parse(q, rank))
+    assert quotient == (None if expected is None else parse(expected, rank))
+
+
+def test_divide_with_exponents_past_two_to_the_eighteen():
+    """Wide exponents give a wide base B; the packed keys stay exact."""
+    big = 2**18
+    q = LaurentPolynomial.from_terms(2, 0, {(big, 0): 1, (0, -big): -2, (1, 1): 3})
+    h = LaurentPolynomial.from_terms(2, 0, {(-big, big): 5, (0, 0): 1, (big, -1): Fraction(1, 3)})
+    assert laurent_divide(q * h, q) == h
+    assert laurent_divide(q * h, h) == q
+    assert laurent_divide(q * h + LaurentPolynomial.monomial((big, big), 1, 2), q) is None
+
+
+def test_divide_with_negative_parameter_exponents():
+    a1_inv, a2_inv2 = ParamPoly(2, {(-1, 0): 1}), ParamPoly(2, {(0, -2): 3})
+    q = LaurentPolynomial.from_terms(2, 2, {(1, 0): a1_inv, (0, -1): a2_inv2, (0, 0): 1})
+    h = parse("a1*x/a2 + y - 1/(a1*x)", 2, 2)
+    assert laurent_divide(q * h, q) == h
+    assert laurent_divide(q * h * q, q * q) == h
+    assert laurent_divide(q * h + parse("a1", 2, 2), q) is None
+
+
+def test_divide_a_large_quotient_in_a_fresh_process():
+    """(1+x+y+z)^4 * h by (1+x+y+z)^4 with 7601 dividend terms.  Each step
+    pops its leading term from a heap; a division that rescans the
+    remainder at each step takes over 12 s on it (2-core host), past the
+    timeout."""
+    script = (
+        "from lgforge import laurent_divide, parse\n"
+        "q = parse('1+x+y+z', 3) ** 4\n"
+        "h = parse('x+y+z+1/(x*y*z)+2', 3) ** 18\n"
+        "p = q * h\n"
+        "assert len(p) == 7601\n"
+        "assert laurent_divide(p, q) == h\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=5)
 
 
 def test_divide_by_a_multi_term_parameter_leading_coefficient():

@@ -93,10 +93,25 @@ class TestMutate:
         with pytest.raises(NotMutableError) as err:
             mutate(parse("1/x", 2), MutationData((1, 0), parse("1+y", 2)))
         assert err.value.grade == -1
+        assert err.value.term == parse("1/x", 2)
+        assert "remainder term 1/x" in str(err.value)
+
+    def test_not_mutable_witness_is_the_leading_remainder_term(self):
+        """(x^2+x+3)/y over 1+x: the quotient takes x, and the remainder 3/y
+        is the witness, with its exact coefficient."""
+        f = parse("(x^2+x+3)/y + y", 2)
+        with pytest.raises(NotMutableError) as err:
+            mutate(f, MutationData((0, 1), parse("1+x", 2)))
+        assert err.value.grade == -1
+        assert err.value.term == parse("3/y", 2)
 
     def test_factor_off_hyperplane_rejected(self):
         with pytest.raises(LaurentError):
             MutationData((0, 1), parse("x+y", 2))
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(LaurentError, match="factor must be nonzero"):
+            MutationData((1, 0), parse("0", 2))
 
     def test_weight_must_be_primitive(self):
         with pytest.raises(LaurentError):
