@@ -274,8 +274,11 @@ def verify_chain(
     """Run the chain and compare its end value with the expected polynomial.
 
     With ``modulo_constant`` the comparison is period equality up to the
-    constant-shift relation, reusing the chain's final period; otherwise it
-    is exact equality.
+    constant-shift relation: the shift a = c(expected) - c(final) moves
+    into the polynomial, and the chain's final period is compared with the
+    period of expected - a (see period.first_period_mismatch), the
+    binomial sums running only at a mismatching degree.  Otherwise it is
+    exact equality.
     """
     report = run_chain(chain, order=order)
     if not report.ok:
@@ -283,10 +286,7 @@ def verify_chain(
     final = report.final
     if modulo_constant:
         shift = period.constant_shift(final, expected)
-        series = report.series or period.period_coefficients(final, order)
-        witness = period.series_mismatch(
-            series, period.period_coefficients(expected, order), shift
-        )
+        witness = period.first_period_mismatch(final, expected, order, report.series)
         if witness is None:
             report.detail = f"matches expected up to constant shift {shift}"
         else:

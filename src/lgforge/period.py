@@ -16,6 +16,13 @@ whole lines in C.  The slots are wide enough for every coefficient of
 every power and pairing, so the constant term is read exactly from one
 slot (see fibre.py).  Coefficients stream degree by degree, so a
 comparison stops at its first mismatching degree.
+
+A comparison up to shift moves the shift into the polynomial: with
+a = c(g) - c(f), P_g = e^{at} P_f exactly when P_{g-a} = P_f, so it is a
+plain equality of two streamed periods.  Multiplying by e^{at} is
+multiplying by a unit, so the first mismatching degree is the same
+either way, and the binomial sum of the shifted coefficients runs only
+at that witness degree.
 """
 
 from __future__ import annotations
@@ -243,43 +250,67 @@ def constant_shift(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
     return Fraction(g.constant_term()) - Fraction(f.constant_term())
 
 
-def _first_mismatch(before, after, shift):
-    """The one comparison loop: regularized coefficients of P_after against
-    e^{shift*t} P_before, pulled from two iterables degree by degree."""
-    seen = []
+def _shifted(prefix: list, a):
+    """sum_k C(d,k) a^k prefix[d-k] for d = len(prefix) - 1: the degree-d
+    regularized coefficient of e^{at} times the series that begins with
+    ``prefix``, as an int when integral."""
+    d = len(prefix) - 1
+    return _norm_scalar(sum(comb(d, k) * a ** k * prefix[d - k] for k in range(d + 1)))
+
+
+def _first_mismatch(before, after, shift=0):
+    """The one comparison loop: regularized coefficients pulled from two
+    iterables and compared degree by degree.  ``after`` is the period of
+    g - shift, so the first disagreeing degree is the first at which
+    P_g = e^{shift*t} P_before fails; only there are the two prefixes
+    shifted back (see _shifted) to give the expected and the actual
+    coefficient of P_g."""
+    seen_before, seen_after = [], []
     for d, (b, got) in enumerate(zip(before, after)):
-        seen.append(b)
-        expected = (
-            sum(comb(d, k) * shift ** k * seen[d - k] for k in range(d + 1))
-            if shift
-            else b
-        )
-        if got != expected:
-            return d, expected, got
+        if shift:
+            seen_before.append(b)
+            seen_after.append(got)
+        if got != b:
+            if shift:
+                return d, _shifted(seen_before, shift), _shifted(seen_after, shift)
+            return d, b, got
     return None
 
 
-def series_mismatch(before: PeriodSeries, after: PeriodSeries, shift=0):
-    """Compare P_after with e^{shift*t} P_before, degree by degree.
+def series_mismatch(before: PeriodSeries, after: PeriodSeries):
+    """Compare two period series degree by degree.
 
     Returns None when they agree, else the first disagreeing degree with
-    the expected and the actual regularized coefficient.  In regularized
-    form the expected value is sum_k C(d,k) shift^k R_before[d-k].
+    the coefficient of ``before`` and that of ``after``.  A comparison up
+    to shift goes through first_period_mismatch, which moves the shift
+    into the polynomial instead of convolving a series.
     """
-    return _first_mismatch(before.coefficients, after.coefficients, shift)
+    return _first_mismatch(before.coefficients, after.coefficients)
 
 
-def first_period_mismatch(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
-    """series_mismatch of the periods of f and g to the given order, with
-    the shift a = c(g) - c(f).  Both inputs must be unparametrized.  The
-    two periods stream, so no power past the first mismatch is formed."""
+def first_period_mismatch(
+    f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10, series: PeriodSeries | None = None
+):
+    """Compare P_g with e^{at} P_f to the given order, a = c(g) - c(f).
+
+    Returns None when they agree, else the first disagreeing degree d with
+    the expected coefficient sum_k C(d,k) a^k c(f^{d-k}) and the actual
+    c(g^d).  The shift moves into the polynomial: P_f is compared with the
+    period of g - a, which is equal exactly when P_g = e^{at} P_f, and the
+    binomial sums are formed only at d.  Both inputs must be
+    unparametrized.  ``series`` is the period of f to this order, if it is
+    already known.  The periods stream, so no power past the first
+    mismatch is formed.
+    """
     shift = constant_shift(f, g)
-    return _first_mismatch(_constant_terms(f, order), _constant_terms(g, order), shift)
+    before = series.coefficients if series is not None else _constant_terms(f, order)
+    return _first_mismatch(before, _constant_terms(g - shift, order), shift)
 
 
 def shift_relation_check(f: LaurentPolynomial, a, order: int = 10) -> bool:
-    """Check P_{f+a}(t) = e^{at} P_f(t) termwise to the given order."""
-    return first_period_mismatch(f, f + Fraction(a), order) is None
+    """Check P_{f+a}(t) = e^{at} P_f(t) termwise to the given order.  The
+    shift a must be an exact rational (an int or a Fraction)."""
+    return first_period_mismatch(f, f + a, order) is None
 
 
 def period_equal_up_to_shift(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):

@@ -254,6 +254,13 @@ class TestChainWitnesses:
         assert report.ok
         assert report.series.coefficients == period_coefficients(report.final, 8).coefficients
 
+    def test_modulo_match_with_a_rational_shift(self):
+        expected = parse("(x+y+1)^2*(x+y+z+1)/(x*y*z)+z+1/3", 3)
+        report = verify_chain(CUBIC_CHAIN, expected, order=10, modulo_constant=True)
+        assert report.ok
+        assert report.detail == "matches expected up to constant shift 7/3"
+        assert report.series == period_coefficients(report.final, 10)
+
     def test_modulo_mismatch_gives_degree_and_both_values(self):
         wrong = parse("(x+y+1)^2*(x+y+z+1)/(x*y*z)+z+x", 3)
         report = verify_chain(CUBIC_CHAIN, wrong, order=10, modulo_constant=True)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from lgforge import (
     period_equal_up_to_shift,
     shift_relation_check,
 )
+from lgforge.period import first_period_mismatch
 
 from test_laurent import multinomial_constant_term
 
@@ -257,6 +259,53 @@ def test_comparison_stops_at_the_first_mismatch():
         env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
     )
     assert proc.stdout == "(2, 4, 6)\n"
+
+
+def convolved_mismatch(f, g, order):
+    """The first degree d at which P_g differs from e^{at} P_f, a = c(g) -
+    c(f), found by convolving the whole series: the expected coefficient is
+    sum_k C(d,k) a^k c(f^{d-k}), written as an int when integral."""
+    a = Fraction(g.constant_term()) - Fraction(f.constant_term())
+    pf = period_coefficients(f, order).coefficients
+    pg = period_coefficients(g, order).coefficients
+    for d in range(order + 1):
+        expected = sum(comb(d, k) * a**k * pf[d - k] for k in range(d + 1))
+        if expected != pg[d]:
+            return d, int(expected) if expected.denominator == 1 else expected, pg[d]
+    return None
+
+
+@st.composite
+def shifted_pairs(draw):
+    """f, a unimodular image of f plus a rational constant, and an order;
+    about a third of the images also get b*x^v + c*x^-v, which usually
+    breaks the match."""
+    f = draw(polys_of_rank_1_to_4())
+    g = f.apply_monomial_map(unimodular(draw, f.rank, 3, 2))
+    g = g + draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    if draw(st.integers(0, 2)) == 0:
+        v = draw(st.tuples(*[st.integers(-3, 3)] * f.rank).filter(any))
+        b, c = draw(rationals), draw(rationals)
+        g = g + LaurentPolynomial.from_terms(f.rank, 0, {v: b, tuple(-x for x in v): c})
+    return f, g, draw(st.integers(2, 8))
+
+
+@settings(deadline=None, max_examples=100)
+@given(shifted_pairs())
+def test_mismatch_up_to_shift_matches_convolution_oracle(case):
+    f, g, order = case
+    witness = first_period_mismatch(f, g, order)
+    oracle = convolved_mismatch(f, g, order)
+    assert witness == oracle
+    if oracle is not None:
+        assert [type(v) for v in witness] == [type(v) for v in oracle]
+
+
+def test_shift_must_be_an_exact_rational():
+    f = parse("x+y+1/(x*y)", 2)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        shift_relation_check(f, 0.1)
+    assert shift_relation_check(f, Fraction(1, 10))
 
 
 @st.composite
