@@ -309,8 +309,17 @@ def first_period_mismatch(
 
 def shift_relation_check(f: LaurentPolynomial, a, order: int = 10) -> bool:
     """Check P_{f+a}(t) = e^{at} P_f(t) termwise to the given order.  The
-    shift a must be an exact rational (an int or a Fraction)."""
-    return first_period_mismatch(f, f + a, order) is None
+    shift a must be an exact rational (an int or a Fraction).
+
+    This checks the lemma that first_period_mismatch relies on, so it does
+    not go through it: both periods are computed in full and every
+    coefficient of P_{f+a} is compared with the binomial sum of P_f."""
+    g = f + a
+    if f.param_rank:
+        raise LaurentError("period comparison requires unparametrized polynomials")
+    before = period_coefficients(f, order).coefficients
+    after = period_coefficients(g, order).coefficients
+    return all(after[d] == _shifted(before[: d + 1], a) for d in range(order + 1))
 
 
 def period_equal_up_to_shift(f: LaurentPolynomial, g: LaurentPolynomial, order: int = 10):
