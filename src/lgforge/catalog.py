@@ -9,7 +9,7 @@ Schema (one entry)::
 
     {"id": str, "dim": int, "picard_rank": int,
      "model": str | null,            # primary polynomial, if the source states one
-     "params": [str, ...],           # parameter names for param_model
+     "params": ["a1", ..., "ak"],    # parameter names for param_model
      "param_model": str | null,      # parametrized polynomial, optional
      "modulo_constant": bool,        # compare periods up to constant shift
      "geometric_only": bool,         # no numeric content; parse-only entry
@@ -27,25 +27,25 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from fractions import Fraction
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
 from . import degeneration, mutation, period, toric
-from .laurent import LaurentError, LaurentPolynomial
-from .parsing import parse, rational
+from .laurent import LaurentError, LaurentPolynomial, at_param_rank
+from .parsing import assignment, parameter_index, parse, rational
 
 DEFAULT_ORDER = 10
 
-# required payload keys per check kind; a tuple names alternatives
-_REQUIRED_KEYS = {
-    "exact_equal": ("left", "right"),
-    "period_match": (("target", "target_id"),),
-    "mutation_chain": ("start", "steps", "expected"),
-    "parameter_limit_edge": (("expect", "expect_id"),),
-    "direction_degeneration_edge": ("rays", "d", "min_support", "max_support"),
-    "toric_oracle": ("rays",),
+# the payload keys each check kind reads, in reading order: "a|b" names
+# alternatives, and a trailing "?" an optional key; any other key is refused
+_CHECK_KEYS = {
+    "exact_equal": "left right modulo_constant?",
+    "period_match": "target|target_id source? order? modulo_constant?",
+    "mutation_chain": "start steps expected order? modulo_constant?",
+    "parameter_limit_edge": "expect|expect_id direction? dying? subst? fibre_weight?",
+    "direction_degeneration_edge": "rays d min_support max_support",
+    "toric_oracle": "rays order? match_model?",
 }
 # payload keys that hold an expression: a string, or {"param_model_at": {...}}
 _EXPRESSION_KEYS = ("left", "right", "source", "target", "start", "expected", "expect")
@@ -157,17 +157,6 @@ def _vector(value, read, length=None) -> tuple:
     return out
 
 
-def _param_index(params: tuple[str, ...], name) -> int:
-    if name not in params:
-        raise ValueError(f"no parameter {name!r}")
-    return params.index(name)
-
-
-def _assignment(value, params: tuple[str, ...]) -> dict[int, Fraction]:
-    """{parameter name: rational} as {parameter index: Fraction}."""
-    return {_param_index(params, name): rational(x) for name, x in _typed(dict, value).items()}
-
-
 def _read(raw: dict, readers: dict) -> dict:
     """The values of ``raw`` under the keys of ``readers``, each through its
     reader; a value that its reader refuses, or a key with no reader, is a
@@ -185,27 +174,30 @@ def _read(raw: dict, readers: dict) -> dict:
     return out
 
 
-def _check_from_json(index: int, raw, dim: int, params: tuple[str, ...]) -> Check:
+def _check_from_json(index: int, raw, dim: int, param_rank: int) -> Check:
     kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in _REQUIRED_KEYS:
+    if kind not in _CHECK_KEYS:
         raise CatalogError(f"check {index}: unknown check kind {kind!r}")
     payload = {k: v for k, v in raw.items() if k != "kind"}
-    for keys in _REQUIRED_KEYS[kind]:
-        options = keys if isinstance(keys, tuple) else (keys,)
-        if not any(k in payload for k in options):
-            missing = " or ".join(repr(k) for k in options)
-            raise CatalogError(f"check {index} ({kind}): missing key {missing}")
     label = f"check {index} ({kind})"
+    keys = []
+    for spec in _CHECK_KEYS[kind].split():
+        options = spec.rstrip("?").split("|")
+        if spec[-1] != "?" and not any(k in payload for k in options):
+            raise CatalogError(f"{label}: missing key " + " or ".join(map(repr, options)))
+        keys += options
+
+    assign = partial(assignment, param_rank=param_rank)
+    names = partial(parameter_index, param_rank=param_rank)
 
     def expression(spec):
         if isinstance(spec, dict) and "param_model_at" in spec:
-            return _assignment(spec["param_model_at"], params)
+            return assign(spec["param_model_at"])
         return _str(spec)
 
     def support(value):
         return set(_vector(value, lambda ray: _vector(ray, _int)))
 
-    index_of = partial(_param_index, params)
     readers = {
         key: (
             expression,
@@ -229,20 +221,20 @@ def _check_from_json(index: int, raw, dim: int, params: tuple[str, ...]) -> Chec
             "'d' must give one rational per ray",
         ),
         direction=(lambda d: _vector(d, rational), "'direction' must be a list of rationals"),
-        subst=(lambda s: _assignment(s, params), "'subst' must map parameter names to rationals"),
-        dying=(lambda names: _vector(names, index_of), "'dying' must list parameters of the entry"),
+        subst=(assign, "'subst' must map parameter names to rationals"),
+        dying=(lambda d: _vector(d, names), "'dying' must list parameters of the entry"),
         fibre_weight=(
             lambda w: _vector(w, _int, dim), "'fibre_weight' must give one integer per variable"
         ),
         min_support=(support, "'min_support' must be a list of integer vectors"),
         max_support=(support, "'max_support' must be a list of integer vectors"),
         steps=(
-            lambda s: mutation.chain_steps_from_json(s, dim, len(params), index_of),
+            lambda s: mutation.chain_steps_from_json(s, dim, param_rank),
             "'steps' must be a valid chain",
         ),
     )
     try:
-        return Check(kind, payload, _read(payload, readers))
+        return Check(kind, payload, _read(payload, {k: readers[k] for k in keys}))
     except CatalogError as err:
         raise CatalogError(f"{label}: {err}") from None
 
@@ -251,13 +243,20 @@ def _optional_str(value) -> str | None:
     return value if value is None else _str(value)
 
 
+def _param_names(value) -> tuple[str, ...]:
+    names = _vector(value, _str)
+    if names != tuple(f"a{i + 1}" for i in range(len(names))):
+        raise ValueError(f"got {list(names)}")
+    return names
+
+
 # entry keys with their readers; an absent key takes the CatalogEntry default
 _ENTRY_READERS = {
     "id": (_str, "'id' must be a string"),
     "dim": (_count, "'dim' must be a non-negative integer"),
     "picard_rank": (_count, "'picard_rank' must be a non-negative integer"),
     "model": (_optional_str, "'model' must be a string or null"),
-    "params": (lambda p: _vector(p, _str), "'params' must be a list of strings"),
+    "params": (_param_names, "'params' must be a list of strings ['a1', ..., 'ak']"),
     "param_model": (_optional_str, "'param_model' must be a string or null"),
     "modulo_constant": (_bool, "'modulo_constant' must be true or false"),
     "geometric_only": (_bool, "'geometric_only' must be true or false"),
@@ -271,9 +270,9 @@ def _entry_from_json(raw: dict) -> CatalogEntry:
         raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     try:
         fields = _read(raw, _ENTRY_READERS)
-        dim, params = raw["dim"], fields.get("params", ())
+        dim, param_rank = raw["dim"], len(fields.get("params", ()))
         checks = enumerate(fields.get("checks", ()))
-        fields["checks"] = tuple(_check_from_json(i, c, dim, params) for i, c in checks)
+        fields["checks"] = tuple(_check_from_json(i, c, dim, param_rank) for i, c in checks)
         entry = CatalogEntry(**fields)
     except (KeyError, TypeError, ValueError) as err:
         raise CatalogError(f"entry {raw.get('id', '?')!r}: {err}") from err
@@ -348,24 +347,13 @@ class _Resolver:
         rank = entry.rank if rank is None else rank
         if isinstance(spec, str):
             if spec == entry.model and rank == entry.rank:
-                return _drop_unused_params(entry.parse_model)
-            return _drop_unused_params(parse(spec, rank, entry.param_rank))
+                return at_param_rank(entry.parse_model, 0)
+            return at_param_rank(parse(spec, rank, entry.param_rank), 0)
         return entry.parse_param_model.substitute_parameters(spec)
 
 
 def _strip_params(f: LaurentPolynomial) -> LaurentPolynomial:
-    if f.param_rank:
-        return f.substitute_parameters({i: Fraction(1) for i in range(f.param_rank)})
-    return f
-
-
-def _drop_unused_params(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Canonicalize a polynomial that declares parameters but uses none."""
-    from .laurent import ParamPoly
-
-    if f.param_rank and not any(isinstance(c, ParamPoly) for c in f.terms.values()):
-        return LaurentPolynomial(f.rank, 0, dict(f.terms))
-    return f
+    return f.substitute_parameters(dict.fromkeys(range(f.param_rank), 1))
 
 
 def _run_exact_equal(entry, check, resolver, order) -> CheckReport:
@@ -432,16 +420,11 @@ def _run_parameter_limit_edge(entry, check, resolver, order) -> CheckReport:
     f = entry.parse_param_model
     if "direction" in args:
         f = degeneration.parameter_direction_limit(f, args["direction"])
-    dying = args.get("dying", ())
-    if dying:
-        f = degeneration.parameter_limit(f, dying)
-    if f.param_rank:
-        # remaining parameters keep their relative order; default assignment 1
-        subst = args.get("subst", {})
-        survivors = [i for i in range(entry.param_rank) if i not in dying]
-        f = f.substitute_parameters(
-            {new: subst.get(old, 1) for new, old in enumerate(survivors[: f.param_rank])}
-        )
+    # one substitution: dying parameters go to 0, the rest to their subst value or 1
+    dying, subst = args.get("dying", ()), args.get("subst", {})
+    f = f.substitute_parameters(
+        {i: 0 if i in dying else subst.get(i, 1) for i in range(f.param_rank)}
+    )
     if "fibre_weight" in args:
         w = args["fibre_weight"]
         pieces = f.graded_pieces(w)

@@ -80,26 +80,17 @@ def _load_fan(path: str):
         raise UsageError(f"{path}: not a fan: {err}") from None
 
 
-def _param_index(name: str) -> int:
-    """Index of the parameter named a1, a2, ..."""
-    name = name.strip()
-    if not (name[:1] == "a" and name[1:].isdigit() and int(name[1:]) >= 1):
-        raise ValueError(f"parameters are named a1, a2, ..., got {name!r}")
-    return int(name[1:]) - 1
-
-
 def _parse_assign(text: str, param_rank: int) -> dict[int, Fraction]:
-    """Parameter values from ``a1=1,a2=-1/2``, keyed by parameter index;
-    every index is below ``param_rank``."""
+    """Parameter values from ``a1=1,a2=-1/2``, keyed by parameter index
+    (see parsing.assignment)."""
+    from .parsing import assignment
+
     assign = {}
     for item in text.split(","):
         try:
             name, value = item.split("=")
-            index = _param_index(name)
-            if index >= param_rank:
-                raise ValueError(f"no parameter {name!r}")
-            assign[index] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            assign.update(assignment({name.strip(): value}, param_rank))
+        except ValueError:
             raise UsageError(f"expected assignments like a1=1/2, got {item!r}") from None
     return assign
 
@@ -203,7 +194,7 @@ def cmd_chain(args):
         steps_json = json.load(fh)
     f = _expression(args)
     try:
-        steps = mutation.chain_steps_from_json(steps_json, f.rank, f.param_rank, _param_index)
+        steps = mutation.chain_steps_from_json(steps_json, f.rank, f.param_rank)
     except mutation.ChainFormatError as err:
         raise UsageError(str(err)) from err
     report = mutation.run_chain(mutation.MutationChain(f, steps), order=args.n)

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 
 from . import geometry
-from .laurent import LaurentError, LaurentPolynomial, flat_terms, from_flat
+from .laurent import LaurentError, LaurentPolynomial, _fraction, _ints, flat_terms, from_flat
 from .toric import FanData
 
 
@@ -24,13 +24,13 @@ class DegenerationError(LaurentError):
 
 @dataclass(frozen=True)
 class DivisorOnFan:
-    """Rational ray coefficients of a divisor; must be effective."""
+    """Rational ray coefficients (ints or Fractions) of a divisor; must be effective."""
 
     fan: FanData
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(_fraction(c, "coefficient", DegenerationError) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.fan.n_rays:
             raise DegenerationError("one coefficient per ray is required")
@@ -101,11 +101,11 @@ def direction_degeneration(divisor: DivisorOnFan) -> DegenerationResult:
 def parameter_limit(f: LaurentPolynomial, dying) -> LaurentPolynomial:
     """Send the given parameters to 0; terms vanishing in the limit drop.
 
-    Each dying parameter must appear with nonnegative exponents only,
-    otherwise the limit diverges and an error is raised.
+    ``dying`` holds int parameter indices; any other index raises
+    LaurentError.  Each dying parameter must appear with nonnegative
+    exponents only, otherwise the limit diverges and an error is raised.
     """
-    values = {int(i): Fraction(0) for i in dying}
-    return f.substitute_parameters(values)
+    return f.substitute_parameters(dict.fromkeys(dying, 0))
 
 
 def parameter_direction_limit(f: LaurentPolynomial, direction) -> LaurentPolynomial:
@@ -114,9 +114,9 @@ def parameter_direction_limit(f: LaurentPolynomial, direction) -> LaurentPolynom
     Every parameter monomial a^k is given the order <direction, k>; only
     monomials of globally minimal order survive.  This is the coefficient
     limit under a_i -> eps^(direction_i) with eps -> 0, after rescaling by
-    the minimal order.
+    the minimal order.  The direction holds ints or Fractions.
     """
-    w = tuple(Fraction(x) for x in direction)
+    w = tuple(_fraction(x, "direction entry", DegenerationError) for x in direction)
     if f.param_rank == 0 or f.is_zero:
         return f
     if len(w) != f.param_rank:
@@ -132,8 +132,9 @@ def parameter_direction_limit(f: LaurentPolynomial, direction) -> LaurentPolynom
 
 
 def restrict_model(f: LaurentPolynomial, keep) -> LaurentPolynomial:
-    """Drop all terms outside ``keep`` (a subset of the support)."""
-    keep_set = {tuple(int(x) for x in exp) for exp in keep}
+    """Drop all terms outside ``keep``, integer exponents in the support."""
+    message = "exponent {} is not a vector of integers"
+    keep_set = {_ints(exp, message, DegenerationError) for exp in keep}
     support = set(f.terms)
     if not keep_set <= support:
         missing = sorted(keep_set - support)

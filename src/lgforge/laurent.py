@@ -59,6 +59,14 @@ def _ints(values, message: str, error=LaurentError) -> tuple:
     return values
 
 
+def _fraction(value, what: str, error=LaurentError) -> Fraction:
+    """A caller-supplied exact rational, an int or a Fraction, as a Fraction:
+    a float, a bool or any other value raises ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise error(f"{what} {value!r} is not an exact rational")
+    return Fraction(value)
+
+
 def _canonicalize(terms: dict, keys) -> dict:
     """The one coefficient rule, applied in place to ``terms[e]`` for each
     ``e`` in ``keys``: drop zeros, keep ints and ParamPoly values, and
@@ -417,9 +425,7 @@ class LaurentPolynomial:
                 raise LaurentError(f"parameter index {index!r} is not an integer")
             if not 0 <= index < self.param_rank:
                 raise LaurentError(f"parameter index {index} out of range")
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise LaurentError(f"parameter value {value!r} is not an exact rational")
-            assign[index] = Fraction(value)
+            assign[index] = _fraction(value, "parameter value")
         remaining = [i for i in range(self.param_rank) if i not in assign]
         index_map = {old: new for new, old in enumerate(remaining)}
         new_rank = len(remaining)
@@ -565,6 +571,15 @@ def from_flat(rank: int, param_rank: int, flat: dict) -> LaurentPolynomial:
         grouped.setdefault(key[param_rank:], {})[key[:param_rank]] = c
     terms = {exp: _param_value(param_rank, p) for exp, p in grouped.items()}
     return LaurentPolynomial(rank, param_rank, terms)
+
+
+def at_param_rank(f: LaurentPolynomial, param_rank: int) -> LaurentPolynomial:
+    """f declared at the given parameter rank when no coefficient of f is a
+    ParamPoly, since a polynomial that uses no parameter acts at any
+    parameter rank; otherwise f itself."""
+    if f.param_rank == param_rank or any(isinstance(c, ParamPoly) for c in f.terms.values()):
+        return f
+    return LaurentPolynomial(f.rank, param_rank, f.terms)
 
 
 def laurent_divide(p: LaurentPolynomial, q: LaurentPolynomial):

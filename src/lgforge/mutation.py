@@ -13,8 +13,8 @@ from functools import cached_property
 from math import gcd
 
 from . import period
-from .laurent import LaurentError, LaurentPolynomial, ParamPoly, _divide, _ints, laurent_divide
-from .parsing import parse, rational
+from .laurent import LaurentError, LaurentPolynomial, _divide, _ints, at_param_rank, laurent_divide
+from .parsing import assignment, parse
 
 
 class NotMutableError(LaurentError):
@@ -80,12 +80,7 @@ def grade_by_weight(f: LaurentPolynomial, weight) -> dict[int, LaurentPolynomial
 
 
 def _apply(f: LaurentPolynomial, data: MutationData, sign: int) -> LaurentPolynomial:
-    factor = data.factor
-    if factor.param_rank != f.param_rank and not any(
-        isinstance(c, ParamPoly) for c in factor.terms.values()
-    ):
-        # a factor that uses no parameter acts at any parameter rank
-        factor = LaurentPolynomial(f.rank, f.param_rank, factor.terms)
+    factor = at_param_rank(data.factor, f.param_rank)
     pieces = grade_by_weight(f, data.weight)
     out = LaurentPolynomial.zero(f.rank, f.param_rank)
     for k, piece in pieces.items():
@@ -143,12 +138,12 @@ class ChainFormatError(LaurentError):
     """A chain step in JSON form is malformed."""
 
 
-def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -> tuple:
+def chain_steps_from_json(steps_json, rank: int, param_rank: int) -> tuple:
     """Chain steps from their JSON form, for polynomials of the given ranks.
 
-    ``param_index`` maps a parameter name to its index.  Each subst step
-    lowers the parameter rank that the later steps see.  A malformed step
-    raises ChainFormatError naming the step.
+    Each subst step names parameters below the parameter rank that it sees
+    (see parsing.parameter_index) and lowers that rank for the later steps.
+    A malformed step raises ChainFormatError naming the step.
     """
     if not isinstance(steps_json, list):
         raise ChainFormatError("a chain must be a JSON list of steps")
@@ -164,12 +159,7 @@ def chain_steps_from_json(steps_json, rank: int, param_rank: int, param_index) -
                 message = "'matrix' must hold JSON integers, got {}"
                 steps.append(CoordStep(tuple(_ints(row, message) for row in raw["matrix"])))
             elif kind == "subst":
-                assign = {}
-                for name, value in raw["assign"].items():
-                    i = param_index(name)
-                    if not 0 <= i < param_rank:
-                        raise ValueError(f"no parameter {name!r} at parameter rank {param_rank}")
-                    assign[i] = rational(value)
+                assign = assignment(raw["assign"], param_rank)
                 steps.append(SubstStep(tuple(assign.items())))
                 param_rank -= len(assign)
             else:
@@ -211,12 +201,13 @@ def _mismatch_text(witness) -> str:
 
 
 def run_chain(chain: MutationChain, order: int = 10) -> ChainReport:
-    """Execute the chain, checking period preservation across each mutation.
+    """Execute the chain, checking period preservation across each mutation
+    of a polynomial with no parameter coefficient, at any declared rank.
 
     The period is carried from step to step: a mutation's resulting period
     is the next step's starting period, and a coords step keeps it, since a
-    unimodular map preserves every constant term.  Only a subst step forces
-    a recomputation.
+    unimodular map preserves every constant term.  A subst step, or an
+    unchecked mutation, forces a recomputation.
     """
     report = ChainReport(ok=True)
     current = chain.start
@@ -226,9 +217,10 @@ def run_chain(chain: MutationChain, order: int = 10) -> ChainReport:
             if isinstance(step, MutationStep):
                 new = mutate(current, step.data)
                 detail = ""
-                if current.param_rank == 0:
-                    before = series or period.period_coefficients(current, order)
-                    series = period.period_coefficients(new, order)
+                plain = at_param_rank(current, 0)
+                if plain.param_rank == 0:
+                    before = series or period.period_coefficients(plain, order)
+                    series = period.period_coefficients(at_param_rank(new, 0), order)
                     witness = period.series_mismatch(before, series)
                     if witness is not None:
                         report.steps.append(
@@ -244,6 +236,8 @@ def run_chain(chain: MutationChain, order: int = 10) -> ChainReport:
                         report.witness = witness
                         return report
                     detail = f"period preserved to order {order}"
+                else:
+                    series = None
                 report.steps.append(StepReport(index, step.describe(), True, detail))
                 current = new
             elif isinstance(step, CoordStep):

@@ -6,13 +6,13 @@
     base   := integer | variable | parameter | '(' expr ')'
 
 Variables are ``x,y,z,w`` (rank <= 4) or ``x1..xn``; parameters are
-``a1..ar`` (plain ``a`` is accepted when r = 1).  Implicit multiplication
-is not allowed.  Rational sub-expressions are accepted only when, after
-full expansion, every denominator is a single monomial; parsing then
-yields the expanded canonical Laurent polynomial.  A power is refused
-when it could expand past ``_POWER_BUDGET`` terms, or give a coefficient
-of more than ``_COEFF_BITS_BUDGET`` bits, and parentheses may nest at most
-``_DEPTH_BUDGET`` levels deep.
+``a1..ar``, and plain ``a`` when r = 1 (see parameter_index).  Implicit
+multiplication is not allowed.  Rational sub-expressions are accepted
+only when, after full expansion, every denominator is a single monomial;
+parsing then yields the expanded canonical Laurent polynomial.  A power
+is refused when it could expand past ``_POWER_BUDGET`` terms, or give a
+coefficient of more than ``_COEFF_BITS_BUDGET`` bits, and parentheses may
+nest at most ``_DEPTH_BUDGET`` levels deep.
 """
 
 from __future__ import annotations
@@ -260,20 +260,27 @@ class _Parser:
             if not 0 <= index < self.rank:
                 raise ExpressionError(f"variable {name!r} out of range for rank {self.rank}")
             return LaurentPolynomial.variable(index, self.rank, self.param_rank)
-        if name == "a" and self.param_rank == 1:
-            name = "a1"
-        m = re.fullmatch(r"a(\d+)", name)
-        if m:
-            index = int(m.group(1)) - 1
-            if not 0 <= index < self.param_rank:
+        try:
+            index = parameter_index(name, self.param_rank)
+        except ExpressionError:
+            if re.fullmatch(r"a\d+", name):
                 raise ExpressionError(
                     f"parameter {name!r} out of range for parameter rank {self.param_rank}"
-                )
-            coeff = ParamPoly.parameter(self.param_rank, index)
-            return LaurentPolynomial.from_terms(
-                self.rank, self.param_rank, {(0,) * self.rank: coeff}
-            )
-        raise ExpressionError(f"undeclared variable or parameter {name!r}")
+                ) from None
+            raise ExpressionError(f"undeclared variable or parameter {name!r}") from None
+        coeff = ParamPoly.parameter(self.param_rank, index)
+        return LaurentPolynomial.from_terms(self.rank, self.param_rank, {(0,) * self.rank: coeff})
+
+
+def parameter_index(name, param_rank: int) -> int:
+    """The index of the parameter ``name`` at parameter rank k: ``a1``..``ak``
+    are 0..k-1, and plain ``a`` is 0 when k = 1.  This is the one reader of
+    parameter names; any other name raises ExpressionError."""
+    if name == "a" and param_rank == 1:
+        name = "a1"
+    if name not in [f"a{i + 1}" for i in range(param_rank)]:
+        raise ExpressionError(f"no parameter {name!r}")
+    return int(name[1:]) - 1
 
 
 def rational(value) -> Fraction:
@@ -286,6 +293,14 @@ def rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ExpressionError(f"expected an integer or a string rational, got {value!r}")
+
+
+def assignment(value, param_rank: int) -> dict[int, Fraction]:
+    """A JSON object {parameter name: rational} at the given parameter rank
+    as {parameter index: Fraction}, through parameter_index and rational."""
+    if not isinstance(value, dict):
+        raise ExpressionError(f"expected an object of parameter values, got {value!r}")
+    return {parameter_index(name, param_rank): rational(x) for name, x in value.items()}
 
 
 def parse(text: str, rank: int, param_rank: int = 0) -> LaurentPolynomial:

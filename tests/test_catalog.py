@@ -222,6 +222,21 @@ def test_unparseable_model_names_entry(tmp_path):
              "steps": [{"kind": "mutation", "w": [1.5], "a": "1"}]},
             "(chain step 0: 'w' must hold JSON integers, got [1.5])",
         ),
+        # a key that only another kind reads must not be ignored
+        (
+            {"kind": "exact_equal", "left": "x", "right": "x", "order": 4, "dying": ["a1"],
+             "rays": [[1], [-1]], "steps": []},
+            "check 1 (exact_equal): unknown key 'dying'",
+        ),
+        (
+            {"kind": "toric_oracle", "rays": [[1], [-1]], "expect": "x", "subst": {"a1": "1"},
+             "fibre_weight": [1]},
+            "check 1 (toric_oracle): unknown key 'expect'",
+        ),
+        (
+            {"kind": "parameter_limit_edge", "expect": "x", "order": 4},
+            "check 1 (parameter_limit_edge): unknown key 'order'",
+        ),
     ],
 )
 def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
@@ -265,6 +280,12 @@ def test_check_payload_validated_at_load(tmp_path, capsys, check, message):
                          "right": "x"}]},
             "check 0 (exact_equal): the entry has no param_model",
         ),
+        # names other than a1..ak would be read as a1..ak by position
+        (
+            {"params": ["t"]},
+            "entry 'bad-entry': 'params' must be a list of strings ['a1', ..., 'ak']",
+        ),
+        ({"params": ["a2", "a1"]}, "(got ['a2', 'a1'])"),
     ],
 )
 def test_entry_fields_validated_at_load(tmp_path, capsys, fields, message):

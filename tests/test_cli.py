@@ -111,7 +111,18 @@ def test_subst(capsys):
     assert out.strip() == "x+y+1/(x*y)"
 
 
-@pytest.mark.parametrize("assign", ["a1", "a1=x", "a1=1=2", "b1=2", "a0=1", "a1=1/0", "a2=1"])
+def test_subst_reads_plain_a_at_one_parameter(capsys):
+    """--assign reads a parameter name as the parser does."""
+    code, out = run_cli(
+        ["subst", "--rank", "2", "--params", "1", "--assign", "a=1", "a*x+y"], capsys
+    )
+    assert code == 0
+    assert out.strip() == "x+y"
+
+
+@pytest.mark.parametrize(
+    "assign", ["a1", "a1=x", "a1=1=2", "b1=2", "a0=1", "a01=1", "a1=1/0", "a2=1"]
+)
 def test_malformed_assignment_is_usage_error(capsys, assign):
     code = main(
         ["subst", "--rank", "2", "--params", "1", "--assign", assign, "x+y+a1/(x*y)"]
@@ -189,6 +200,67 @@ def test_mutate_fuzz_exits_with_a_documented_code(argv):
             code = exit_.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_FUZZ_PARAM_NAMES = ["a", "a0", "a1", "a2", "a9", "t"]
+_FUZZ_VALUES = ["1", "0", "-1/2", 2, 0.5, True, "1/0", None]
+
+
+@st.composite
+def chain_steps(draw, n):
+    """A chain file for polynomials of rank n: mutation, coords and subst
+    steps, mostly well formed, with parameter names past the current rank
+    or outside the a1..ak rule, float and bool values, and malformed steps
+    mixed in."""
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["mutation", "coords", "subst"]))
+        if kind == "mutation":
+            weight = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))
+            free = [v for v, x in zip("xyz", weight) if x == 0]
+            factor = draw(st.sampled_from(["1"] + [f"1+{v}" for v in free] + ["1+a1", "a"]))
+            w = _sometimes(draw, [[0.5] * n, [True] * n, weight + [0], "1"]) or weight
+            step = {"kind": kind, "w": w, "a": factor}
+        elif kind == "coords":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            shear = [[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)]
+            matrix = _sometimes(draw, [[[1.0] * n] * n, [[True] * n] * n, [[2] * n] * n, 5])
+            step = {"kind": kind, "matrix": matrix or shear}
+        else:
+            names = st.sampled_from(_FUZZ_PARAM_NAMES)
+            assign = draw(st.dictionaries(names, st.sampled_from(_FUZZ_VALUES), max_size=2))
+            step = {"kind": kind, "assign": _sometimes(draw, [["a1", "1"], "a1=1"]) or assign}
+        steps.append(_sometimes(draw, [{"kind": "twist"}, "subst", {"kind": kind}]) or step)
+    return steps
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_chain_fuzz_exits_with_a_documented_code(tmp_path, data):
+    """Any chain file ends with exit 0, 1 or 2; a failure prints one
+    ``error:`` line, and nothing prints a traceback."""
+    rank = data.draw(st.integers(1, 3))
+    params = data.draw(st.integers(0, 2))
+    seen = set("xyz"[:rank]) | ({"a"} if params else set())
+    known = [t for t in _FUZZ_TERMS if set(t) & set("xyza") <= seen]
+    terms = data.draw(st.lists(st.sampled_from(known), min_size=1, max_size=4))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data.draw(chain_steps(rank))), encoding="utf-8")
+    argv = ["chain", "--rank", str(rank), "--params", str(params), "--n", "4"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--file", str(path), "--", "+".join(terms + ["a2*x"] * (params == 2))])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert lines == []
 
 
 def test_missing_fan_file_is_usage_like_error(capsys):
@@ -409,6 +481,28 @@ def test_chain_file(capsys, tmp_path):
 
     final = out.strip().splitlines()[-1]
     assert parse(final, 3) == parse("x+y+z+(x+y+1)^3/(x*y*z)", 3)
+
+
+def test_chain_checks_the_period_of_a_parameter_free_polynomial(capsys, tmp_path):
+    """A polynomial with no parameter coefficient has its period checked at
+    any declared parameter rank, and keeps that rank for a later subst."""
+    steps = [
+        {"kind": "mutation", "w": [0, 1], "a": "1+x"},
+        {"kind": "subst", "assign": {"a1": "2"}},
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(steps), encoding="utf-8")
+    code, out = run_cli(
+        ["chain", "--rank", "2", "--params", "1", "--n", "6", "--file", str(path),
+         "y+(1+x)/y+1/x"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "step 0: mutation w=[0, 1] a=x+1: ok (period preserved to order 6)",
+        "step 1: subst a1=2: ok",
+        "x*y+y+1/y+1/x",
+    ]
 
 
 def test_chain_file_mutation_after_subst(capsys, tmp_path):

@@ -18,6 +18,7 @@ from lgforge import (
     toric_pair_model,
 )
 from lgforge.degeneration import DegenerationError
+from lgforge.laurent import LaurentError
 
 BL2_P3 = FanData(
     3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 0, 0), (0, -1, 0))
@@ -109,6 +110,12 @@ class TestDirectionDegeneration:
         with pytest.raises(DegenerationError):
             DivisorOnFan(half, (1, 1, 1))
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2"])
+    def test_inexact_coefficient_rejected(self, value):
+        """0.1 would otherwise be stored as 3602879701896397/36028797018963968."""
+        with pytest.raises(DegenerationError, match="is not an exact rational"):
+            DivisorOnFan(BL2_P2, (value, 0, 0, 0, 0))
+
 
 class TestParameterLimits:
     def test_limit_drops_vanishing_terms(self):
@@ -123,6 +130,13 @@ class TestParameterLimits:
     def test_annihilation(self):
         f = parse("a1/x", 1, 1)
         assert parameter_limit(f, [0]).is_zero
+
+    @pytest.mark.parametrize("dying", [[0.5], [True], ["0"]])
+    def test_non_integer_index_rejected(self, dying):
+        """0.5 would otherwise send a1 to 0, and True a2."""
+        f = parse("a1*x+a2*y+1/(x*y)", 2, 2)
+        with pytest.raises(LaurentError, match="is not an integer"):
+            parameter_limit(f, dying)
 
     def test_negative_exponent_diverges(self):
         f = parse("x/a1", 1, 1)
@@ -140,6 +154,12 @@ class TestParameterLimits:
         f = parse("a1*x + y", 2, 1)
         assert parameter_direction_limit(f, (0,)) == f
 
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_inexact_direction_rejected(self, value):
+        f = parse("a1*x + a2*y", 2, 2)
+        with pytest.raises(DegenerationError, match="is not an exact rational"):
+            parameter_direction_limit(f, (value, 1))
+
 
 class TestRestrict:
     def test_full_support(self):
@@ -154,6 +174,12 @@ class TestRestrict:
         f = parse("x + y", 2)
         with pytest.raises(DegenerationError):
             restrict_model(f, [(5, 5)])
+
+    def test_non_integer_exponent_rejected(self):
+        """(1.5, 0) would otherwise be truncated to the exponent of x."""
+        f = parse("x + y + 1/(x*y)", 2)
+        with pytest.raises(DegenerationError, match="is not a vector of integers"):
+            restrict_model(f, [(1.5, 0)])
 
 
 class TestConsistencyWithParameterLimits:

@@ -286,13 +286,10 @@ class TestChainWitnesses:
 
 
 def test_chain_subst_steps_lower_the_parameter_rank():
-    def index(name):
-        return int(name[1:]) - 1
-
     def subst(name, value):
         return {"kind": "subst", "assign": {name: value}}
 
-    steps = mutation.chain_steps_from_json([subst("a2", "1"), subst("a1", "2")], 1, 2, index)
+    steps = mutation.chain_steps_from_json([subst("a2", "1"), subst("a1", "2")], 1, 2)
     assert [step.assign for step in steps] == [((1, 1),), ((0, 2),)]
     with pytest.raises(mutation.ChainFormatError, match="chain step 1: no parameter 'a2'"):
-        mutation.chain_steps_from_json([subst("a1", "1"), subst("a2", "1")], 1, 2, index)
+        mutation.chain_steps_from_json([subst("a1", "1"), subst("a2", "1")], 1, 2)

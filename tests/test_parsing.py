@@ -27,6 +27,8 @@ from lgforge.parsing import (
     ExpressionError,
     _power,
     _tokenize,
+    assignment,
+    parameter_index,
     parse,
 )
 
@@ -397,3 +399,20 @@ def test_nesting_budget_boundary():
     assert parse(deep, 1) == parse("x", 1)
     with pytest.raises(ExpressionError, match=f"more than {_DEPTH_BUDGET} levels deep"):
         parse("(" + deep + ")", 1)
+
+
+@pytest.mark.parametrize(
+    "name, param_rank, index", [("a", 1, 0), ("a1", 1, 0), ("a2", 2, 1), ("a10", 10, 9)]
+)
+def test_parameter_names_at_a_rank(name, param_rank, index):
+    assert parameter_index(name, param_rank) == index
+    assert assignment({name: "1/2"}, param_rank) == {index: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "name, param_rank",
+    [("a", 0), ("a", 2), ("a0", 1), ("a01", 1), ("a3", 2), ("a1", 0), ("t", 1), (1, 1)],
+)
+def test_other_parameter_names_are_refused(name, param_rank):
+    with pytest.raises(ExpressionError, match="no parameter"):
+        parameter_index(name, param_rank)
