@@ -53,7 +53,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
     return [_parse_ints(row) for row in text.split(";")]
 
 
-def _order(text: str) -> int:
+def _nonnegative(text: str) -> int:
     value = int(text) if text.strip().lstrip("+").isdigit() else -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
@@ -434,8 +434,8 @@ def cmd_catalog_verify(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--rank", type=int, default=3, help="number of torus variables")
-    sub.add_argument("--params", type=int, default=0, help="number of parameters")
+    sub.add_argument("--rank", type=_nonnegative, default=3, help="number of torus variables")
+    sub.add_argument("--params", type=_nonnegative, default=0, help="number of parameters")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("expression", help="Laurent polynomial expression")
 
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("period", help="period series of a polynomial")
     _add_common(p)
-    p.add_argument("--n", type=_order, default=10, help="series order")
+    p.add_argument("--n", type=_nonnegative, default=10, help="series order")
     p.add_argument("--classical", action="store_true", help="divide by d! per term")
     p.set_defaults(func=cmd_period)
 
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chain", help="run a chain file against an expression")
     _add_common(p)
     p.add_argument("--file", required=True, help="JSON list of steps")
-    p.add_argument("--n", type=_order, default=10, help="period check order")
+    p.add_argument("--n", type=_nonnegative, default=10, help="period check order")
     p.set_defaults(func=cmd_chain)
 
     toric_parser = subs.add_parser("toric", help="toric fan computations")
@@ -500,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = toric_subs.add_parser("qp", help="combinatorial quantum period")
     p.add_argument("--fan", required=True)
-    p.add_argument("--n", type=_order, default=8)
+    p.add_argument("--n", type=_nonnegative, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_toric_qp)
 
     p = toric_subs.add_parser("ci", help="complete-intersection quantum period")
     p.add_argument("--fan", required=True)
     p.add_argument("--part", required=True, help="blocks 'i,j;k,l,m' with S_0 first")
-    p.add_argument("--n", type=_order, default=8)
+    p.add_argument("--n", type=_nonnegative, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_toric_ci)
 
@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("markov", help="Markov triples")
     p.add_argument("--triple", default="1,1,1")
     p.add_argument("--slot", type=int, choices=(0, 1, 2))
-    p.add_argument("--depth", type=int, default=3, help="tree depth when no slot given")
+    p.add_argument("--depth", type=_nonnegative, default=3, help="tree depth when no slot given")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_markov)
 
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cat_subs.add_parser("verify", help="run all declared checks")
     p.add_argument("--id", help="id glob or prefix filter")
-    p.add_argument("--n", type=_order, default=10, help="period comparison order")
+    p.add_argument("--n", type=_nonnegative, default=10, help="period comparison order")
     p.add_argument(
         "--threads",
         type=_at_least_one,

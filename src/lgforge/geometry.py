@@ -37,9 +37,7 @@ class HullData:
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g == 0:
         return None
     return tuple(x // g for x in vec)

@@ -318,14 +318,8 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms, key=grlex_key)
-
     def constant_term(self):
         return self.terms.get((0,) * self.rank, 0)
-
-    def coefficient(self, exponent):
-        return self.terms.get(tuple(exponent), 0)
 
     def __len__(self):
         return len(self.terms)

@@ -54,10 +54,7 @@ class MutationData:
         object.__setattr__(self, "weight", w)
         if all(x == 0 for x in w):
             raise LaurentError("mutation weight must be nonzero")
-        g = 0
-        for x in w:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if gcd(*w) != 1:
             raise LaurentError(f"mutation weight {w} is not primitive")
         if len(w) != self.factor.rank:
             raise LaurentError("weight length does not match factor rank")

@@ -12,9 +12,11 @@ coordinates, which fixes every constant term, makes the support narrow,
 and one lattice direction is packed into the coefficients, so that each
 key holds a whole line of a power as one integer with a slot per point
 (Kronecker substitution in one variable).  A power step then multiplies
-whole lines in C.  The slots are wide enough for every coefficient of
-every power and pairing, so the constant term is read exactly from one
-slot (see fibre.py).  Coefficients stream degree by degree, so a
+whole lines in C.  The basis and the direction read f alone, so
+fibre.py chooses them once per series; _packing lays out the keys and
+slots for an order.  The slots are wide enough for every coefficient of
+every power and pairing up to that order, so the constant term is read
+exactly from one slot.  Coefficients stream degree by degree, so a
 comparison stops at its first mismatching degree.
 
 A comparison up to shift moves the shift into the polynomial: with
@@ -50,44 +52,79 @@ def _digit_width(largest: int, order: int) -> int:
     return (2 * ((order + 1) // 2) * largest).bit_length() + 1
 
 
-def _packing(flat: dict, order: int):
-    """The flattened f (see flat_terms) on packed int keys for the power
-    kernel, one slot per coefficient: {key: coefficient}, the common
-    denominator D, the key digit width s, the slot width S = 0 and the
-    slot offset 0.
-
-    A term q*a^p*x^e becomes the key sum_i u_i*2^(s*i) of u = (p, e),
-    the parameters in the low digits, with the coefficient q*D.  Keys are
-    balanced digit vectors: packing is additive and key(-u) = -key(u), so
-    a pairing matches keys k and -k.
-    """
+def _integer_columns(flat: dict) -> tuple:
+    """The flattened f (see flat_terms) as digit columns, parameters first,
+    with the integer coefficients of D*f for the lcm D of its
+    denominators, and D."""
     den = lcm(*(c.denominator for c in flat.values()))
-    s = _digit_width(max((abs(v) for key in flat for v in key), default=0), order)
-    packed = {
-        sum(v << (s * i) for i, v in enumerate(key)): c.numerator * (den // c.denominator)
-        for key, c in flat.items()
-    }
-    return packed, den, s, 0, 0
+    ints = [c.numerator * (den // c.denominator) for c in flat.values()]
+    return list(zip(*flat)), ints, den
 
 
-def _fibre_packing(flat: dict, r: int, order: int):
-    """fibre.fibre_packing of the flattened f for degrees up to ``order``,
-    or None.  The search for a direction costs about as much as a few
-    hundred term products, so it runs only when the flat power steps
-    would form at least 1000: f^k has at most C(k+T-1, T-1) terms for T
-    terms of f, so the steps up to h = ceil(order/2) form at most
-    T*C(h+T-1, T).  Only then is the fibre module imported."""
-    terms = len(flat)
+def _pack_columns(cols: list, s: int, count: int) -> list:
+    """The keys sum_i u_i*2^(s*i) of the rows u of the digit columns."""
+    keys = [0] * count
+    for i, col in enumerate(cols):
+        keys = [k + (d << (s * i)) for k, d in zip(keys, col)]
+    return keys
+
+
+def _fibre_basis(cols: list, r: int, order: int):
+    """fibre.fibre_basis of the digit columns, or None when f has no torus
+    columns or its powers are too small to repay the search.  The search
+    costs about as much as a few hundred term products, so it runs only
+    when the flat power steps would form at least 1000: f^k has at most
+    C(k+T-1, T-1) terms for T terms of f, so the steps up to
+    h = ceil(order/2) form at most T*C(h+T-1, T).  Only then is the fibre
+    module imported."""
+    if len(cols) == r:
+        return None
+    terms = len(cols[r])
     if terms * comb((order + 1) // 2 + terms - 1, terms) < 1000:
         return None
-    from .fibre import fibre_packing
+    from .fibre import fibre_basis
 
-    return fibre_packing(flat, r, order)
+    return fibre_basis(cols, r)
+
+
+def _packing(cols: list, ints: list, t, order: int):
+    """The integer terms of D*f on packed int keys for degrees up to
+    ``order``: {key: coefficient}, the key digit width s, the slot width S
+    and the slot offset -t_min.  Without a fibre coordinate t (None) each
+    key holds one coefficient, S = 0 and the offset is 0.
+
+    A term with digits u (the columns, parameters in the low digits) gets
+    the key sum_i u_i*2^(s*i).  Keys are balanced digit vectors: packing
+    is additive and key(-u) = -key(u), so a pairing matches keys k and -k.
+
+    With t (see fibre.fibre_basis), the term of coefficient c adds
+    c*2^(S*(t - t_min)) to its key's coefficient, t_min <= 0.  The packed
+    coefficient of a key in (D*f)^k is then sum_t c_t*2^(S*(t - k*t_min)),
+    a fibre of k*(t_max - t_min) + 1 slots, and a product of fibres of
+    (D*f)^a and (D*f)^b holds in slot t - d*t_min, d = a + b, the sum of
+    the products whose t values add to t.  Every coefficient of (D*f)^d,
+    and every partial sum of a pairing, is at most N^d in size, for N the
+    sum of |coefficients| of D*f, so S = bitlen(N^order) + 1 makes every
+    slot of every power and pairing a balanced S-bit digit: a packed value
+    is 0 exactly when every slot is, and the t = 0 slot m0 = -d*t_min
+    reads off exactly (_slot).  If the support has t_min > 0 or
+    t_max < 0, every c(f^d) with d >= 1 is 0; with t_min <= 0 arranged,
+    m0 then lies above every slot and reads 0.
+    """
+    s = _digit_width(max((max(map(abs, col)) for col in cols), default=0), order)
+    big_s = 0 if t is None else (sum(map(abs, ints)) ** order).bit_length() + 1
+    t = t or [0] * len(ints)
+    low = -min(t, default=0)
+    packed: dict = {}
+    for k, c, ti in zip(_pack_columns(cols, s, len(ints)), ints, t):
+        packed[k] = packed.get(k, 0) + (c << (big_s * (ti + low)))
+    return packed, s, big_s, low
 
 
 def _slot(value: int, big_s: int, m: int) -> int:
-    """The balanced S-bit digit of ``value`` at slot m (see
-    fibre.fibre_packing); with S = 0 the value is its own single slot."""
+    """The balanced S-bit digit of ``value`` at slot m: a fibre slot (see
+    _packing) or, with S = s, a parameter digit of a key.  With S = 0 the
+    value is its own single slot."""
     if not big_s:
         return value
     shift = big_s * m
@@ -157,17 +194,12 @@ def _param_constant(
             for pb, c2 in b_groups.get(-torus, ()):
                 p = pa + pb
                 acc[p] = get(p, 0) + c * c2
-    mask, digit_half = (1 << s) - 1, 1 << s >> 1
     terms = {}
     for p, c in acc.items():
-        exp = []
-        for _ in range(param_rank):
-            digit = ((p + digit_half) & mask) - digit_half
-            exp.append(digit)
-            p = (p - digit) >> s
-        if big_s:
-            c = _slot(c, big_s, m)
-        terms[tuple(exp)] = Fraction(c, scale) if scale > 1 else c
+        c = _slot(c, big_s, m)
+        terms[tuple(_slot(p, s, i) for i in range(param_rank))] = (
+            Fraction(c, scale) if scale > 1 else c
+        )
     return ParamPoly.of(param_rank, terms)
 
 
@@ -187,39 +219,42 @@ def _constant_terms(f: LaurentPolynomial, order: int):
     powers up to ceil(order/2) are formed, and only the last two are held;
     each power step yields two coefficients.  Powers of D*f live on packed
     int keys (see _packing), and c(f^d) = c((D*f)^d) / D^d.  c(f) and
-    c(f^2) read f alone, so f is repacked with a fibre (_fibre_packing)
-    only at the first power step, d = 3: a comparison that stops earlier
-    never searches for one, and a program that forms no large power never
-    imports the fibre module.  Fibre slots are sized
-    for a horizon of degrees, max(2d, 32) capped at the order, so a
-    comparison that stops early at a large order does not pay for slots
-    wide enough for the whole order; past the horizon f is repacked for
-    twice as many degrees and the held power is formed again, which at
-    most doubles the power steps.  A pairing matches keys k and -k and
-    reads the t = 0 slot of the sum once; with parameters it matches
-    torus parts and sums the parameter parts into the output coefficient,
-    reading the slot once per parameter term.  A square pairing forms each
-    {T, -T} pair once: c(P*P) = P_0^2 + 2*sum_{T>0} P_T*P_-T.
+    c(f^2) read f alone, so the fibre basis and direction (_fibre_basis)
+    are chosen only at the first power step, d = 3, and only once per
+    series: a comparison that stops earlier never searches for one, and a
+    program that forms no large power never imports the fibre module.
+    Fibre slots are sized for a horizon of degrees, max(2d, 32) capped at
+    the order, so a comparison that stops early at a large order does not
+    pay for slots wide enough for the whole order; past the horizon f is
+    laid out again in the same basis for twice as many degrees and the
+    held power is formed again, which at most doubles the power steps.
+    Without a fibre, f keeps the flat layout for the whole order.  A
+    pairing matches keys k and -k and reads the t = 0 slot of the sum
+    once; with parameters it matches torus parts and sums the parameter
+    parts into the output coefficient, reading the slot once per
+    parameter term.  A square pairing forms each {T, -T} pair once:
+    c(P*P) = P_0^2 + 2*sum_{T>0} P_T*P_-T.
     """
     if order < 0:
         raise LaurentError("period order must be nonnegative")
-    param_rank, flat = f.param_rank, flat_terms(f)
-    flat_packing = _packing(flat, order)
-    packed, den, s, big_s, low = flat_packing
-    shift, horizon = s * param_rank, 2
+    param_rank = f.param_rank
+    cols, ints, den = _integer_columns(flat_terms(f))
+    packed, s, big_s, low = _packing(cols, ints, None, order)
+    shift, horizon, fibre = s * param_rank, 2, None
     yield 1
     power = {0: 1}
     scale = 1
     for d in range(1, order + 1):
         square = d % 2 == 0
         if not square:
-            if d > horizon:
+            if d > horizon:  # the first power step, or past a fibre horizon
                 horizon = min(order, max(2 * d, 32))
-                fibred = _fibre_packing(flat, param_rank, horizon)
-                if fibred is None:
+                if d == 3:
+                    fibre = _fibre_basis(cols, param_rank, horizon)
+                if fibre is None:
                     horizon = order
-                if fibred or big_s:  # a new packing: form the held power in it
-                    packed, den, s, big_s, low = fibred or flat_packing
+                else:  # lay f out for the horizon and form the held power in it
+                    packed, s, big_s, low = _packing(fibre[0], ints, fibre[1], horizon)
                     shift, power = s * param_rank, {0: 1}
                     for _ in range(d // 2):
                         power = _times(power, packed)

@@ -51,10 +51,7 @@ class FanData:
         for ray in rays:
             if len(ray) != self.rank:
                 raise ToricError(f"ray {ray} does not have rank {self.rank}")
-            g = 0
-            for x in ray:
-                g = gcd(g, abs(x))
-            if g != 1:
+            if gcd(*ray) != 1:
                 raise ToricError(f"ray {ray} is not primitive")
             if ray in seen:
                 raise ToricError(f"duplicate ray {ray}")
@@ -281,8 +278,9 @@ def toric_pair_model(fan: FanData, cg: ClassGroupData) -> LaurentPolynomial:
     return LaurentPolynomial.from_terms(fan.rank, r, terms)
 
 
-def _multinomial(total: int, parts) -> int:
-    out = factorial(total)
+def _multinomial(parts) -> int:
+    """(sum of parts)! / (prod of part!)."""
+    out = factorial(sum(parts))
     for p in parts:
         out //= factorial(p)
     return out
@@ -297,7 +295,7 @@ def toric_quantum_period(fan: FanData, cg: ClassGroupData, order: int) -> Period
     _check_order(order)
     slice_ = relation_monoid(fan, order)
     return _class_series(
-        fan, cg, order, ((sum(k), k, _multinomial(sum(k), k)) for k in slice_.tuples)
+        fan, cg, order, ((sum(k), k, _multinomial(k)) for k in slice_.tuples)
     )
 
 
@@ -363,15 +361,12 @@ def ci_quantum_period(
     )
 
 
-def _ci_weight(k, blocks) -> Fraction:
-    """(prod over blocks of (block subtotal)!) / (prod k_i!)."""
-    num = 1
-    for block in blocks:
-        num *= factorial(sum(k[i] for i in block))
-    den = 1
-    for x in k:
-        den *= factorial(x)
-    return Fraction(num, den)
+def _ci_weight(k, blocks) -> int:
+    """(prod over blocks of (block subtotal)!) / (prod k_i!): the blocks
+    partition the rays (NefPartition.validate), so this is the product of
+    the blocks' multinomials, an integer.  toric_quantum_period's weight is
+    the one-block case."""
+    return prod(_multinomial([k[i] for i in block]) for block in blocks)
 
 
 def fibre_fan(fan: FanData, projection) -> FanData:

@@ -664,6 +664,24 @@ def test_order_must_be_a_nonnegative_integer(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["period", "--params", "-2", "--n", "3", "x"], "--params"),
+        (["period", "--rank", "-1", "--n", "3", "1"], "--rank"),
+        (["markov", "--depth", "-5"], "--depth"),
+    ],
+    ids=["params", "rank", "depth"],
+)
+def test_counts_must_be_nonnegative_integers(capsys, args, option):
+    """--rank, --params and --depth share --n's argument type: a negative
+    count is a usage error (exit 2), not a kernel error or an empty run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    assert f"argument {option}: expected a nonnegative integer" in capsys.readouterr().err
+
+
 def test_power_past_the_coefficient_budget_exits_one():
     proc = run_cold(["period", "--rank", "1", "(3*x)^30000000"], timeout=30)
     assert proc.returncode == 1

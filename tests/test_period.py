@@ -396,9 +396,10 @@ def test_catalog_periods_are_pinned():
 def fibre_packed(f, order):
     """Whether the kernel repacks f with a fibre for this order."""
     from lgforge.laurent import flat_terms
-    from lgforge.period import _fibre_packing
+    from lgforge.period import _fibre_basis, _integer_columns
 
-    return _fibre_packing(flat_terms(f), f.param_rank, order) is not None
+    cols = _integer_columns(flat_terms(f))[0]
+    return _fibre_basis(cols, f.param_rank, order) is not None
 
 
 def paired_oracle(f, order):
@@ -440,7 +441,7 @@ def dense_polys_and_skews(draw, param_rank=0):
     some direction meet the support several times, and a unimodular matrix
     of up to 8 operations with multipliers up to 3, which skews that
     support far from the box.  At orders 8 and 9 the kernel searches such
-    an f for a fibre (see lgforge.period._fibre_packing)."""
+    an f for a fibre (see lgforge.period._fibre_basis)."""
     rank = draw(st.integers(1, 4))
     box = DENSE_BOX[rank]
     exponent = st.tuples(*[st.integers(-box, box)] * rank)
@@ -552,13 +553,34 @@ def test_parametrized_series_with_and_without_packing(text, packs):
 def test_series_past_the_slot_horizon():
     """Fibre slots are sized for max(2d, 32) degrees; past that horizon f is
     repacked with wider slots and the held power is formed again.  Order 36
-    crosses it at d = 33."""
+    crosses it at d = 33, and order 70 at d = 33 and d = 67."""
     f = parse("x+y+1/x+1/y+x*y+1/(x*y)+x/y+2*y/x+3", 2)
     assert fibre_packed(f, 32)
     assert list(period_coefficients(f, 36).coefficients) == paired_oracle(f, 36)
     g = parse("a1*x+y+1/x+1/y+a1*x*y+1/(x*y)+x/y+2*y/x+3", 2, 1)
     assert fibre_packed(g, 32)
     assert list(period_coefficients(g, 34).coefficients) == paired_oracle(g, 34)
+    h = parse("x+y+1/x+1/y+3", 2)
+    assert fibre_packed(h, 32)
+    assert list(period_coefficients(h, 70).coefficients) == paired_oracle(h, 70)
+
+
+def test_the_direction_is_searched_once_per_series(monkeypatch):
+    """The basis and direction read f alone: an order-100 series crosses
+    the slot horizon at d = 33 and d = 67 but searches once."""
+    from lgforge import fibre
+
+    calls = []
+    search = fibre._direction
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(fibre, "_direction", counted)
+    f = parse("x+y+1/x+1/y+x*y+1/(x*y)+x/y+2*y/x+3", 2)
+    period_coefficients(f, 100)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
